@@ -12,7 +12,6 @@ fn bench_ablations(c: &mut Criterion) {
     let ri = w.dist.relation(&w.gs).expect("relation builds");
 
     let configs: Vec<(&str, CheckOptions)> = vec![
-        ("shard_hinted", entangle_bench::hinted_opts()),
         ("frontier_iterative", entangle_bench::saturation_opts()),
         (
             "no_frontier",
@@ -33,7 +32,7 @@ fn bench_ablations(c: &mut Criterion) {
             "prune_to_1",
             CheckOptions {
                 max_mappings: 1,
-                ..entangle_bench::hinted_opts()
+                ..entangle_bench::saturation_opts()
             },
         ),
         ("certified", CheckOptions::default()),

@@ -44,11 +44,6 @@ fn main() {
         &mut rows,
     );
     run(
-        "  + shard hints (this work)",
-        &entangle_bench::hinted_opts(),
-        &mut rows,
-    );
-    run(
         "iterative, no frontier",
         &CheckOptions {
             frontier: false,
@@ -77,7 +72,7 @@ fn main() {
         "aggressive pruning (keep 1)",
         &CheckOptions {
             max_mappings: 1,
-            ..entangle_bench::hinted_opts()
+            ..entangle_bench::saturation_opts()
         },
         &mut rows,
     );
@@ -102,7 +97,7 @@ fn main() {
     ] {
         let opts = CheckOptions {
             rewrites,
-            ..entangle_bench::hinted_opts()
+            ..entangle_bench::saturation_opts()
         };
         let ri = w8.dist.relation(&w8.gs).expect("relation builds");
         let start = std::time::Instant::now();

@@ -1,7 +1,7 @@
 //! Parallel-checker benchmark: `check_refinement` across the model zoo at
 //! `jobs` ∈ {1, 2, 4, 8} with the cross-operator saturation cache on,
-//! against the pre-scheduler sequential engine (`jobs = 1`, `cache = off`)
-//! as the baseline.
+//! against one thread with the cache off (`jobs = 1`, `cache = off`) as
+//! the baseline.
 //!
 //! Writes `results/BENCH_par.json` (shared [`BenchReport`] envelope, one
 //! ledger record per case) and prints the comparison table. Expected shape: `jobs = 1` stays within a
@@ -46,8 +46,8 @@ fn par_opts(jobs: usize) -> CheckOptions {
     }
 }
 
-/// The pre-scheduler engine: one thread, no cache — byte-for-byte the
-/// legacy sequential loop.
+/// The baseline: one thread, no cache — every operator solves its
+/// canonical problem afresh.
 fn baseline_opts() -> CheckOptions {
     CheckOptions {
         jobs: 1,

@@ -201,7 +201,7 @@ pub struct ZooCase {
 }
 
 /// The 7-workload zoo exercised by `export_zoo`, the CI sweeps, and the
-/// `bench_shard`/`bench_trace` regressions: GPT / Llama-3 / Qwen2 under TP2
+/// `bench_trace` regression: GPT / Llama-3 / Qwen2 under TP2
 /// and TP+SP2, plus the MoE model under TP+SP2, all at [`bench_config`].
 pub fn zoo() -> Vec<ZooCase> {
     let cfg = bench_config();
@@ -386,24 +386,14 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Options measuring the *saturation* pipeline alone (Listings 1-3):
-/// shard hints would skip saturation for operators the propagation pass can
-/// prove, and certificate extraction + kernel re-checking adds work after
-/// saturation finishes — both are exactly what the figure benchmarks are
-/// *not* timing. `bench_cert` measures the certification overhead.
+/// Options measuring the *saturation* pipeline alone (Listings 1-3): the
+/// sharding-propagation fail-fast pass runs before saturation, and
+/// certificate extraction + kernel re-checking adds work after it finishes
+/// — both are exactly what the figure benchmarks are *not* timing.
+/// `bench_cert` measures the certification overhead.
 pub fn saturation_opts() -> CheckOptions {
     CheckOptions {
-        shard_hints: false,
-        certify: false,
-        ..CheckOptions::default()
-    }
-}
-
-/// Options for timing the hinted pipeline: certification is off because
-/// certify-mode drops shard hints (hinted mappings carry no derivation the
-/// kernel could re-check), which would turn the comparison into a no-op.
-pub fn hinted_opts() -> CheckOptions {
-    CheckOptions {
+        shard: false,
         certify: false,
         ..CheckOptions::default()
     }

@@ -205,7 +205,7 @@ GLOBAL FLAGS (any subcommand):
                  FILE; never changes stdout output or the exit code
   --jobs N       worker threads for the refinement checker's dependency-
                  aware scheduler (default: detected cores). Results are
-                 identical for any N; N=1 is the sequential engine
+                 identical for any N; N=1 checks on the calling thread
   --ledger FILE  run-ledger path for check/certify/trace appends and for
                  `entangle report` (default: results/ledger.jsonl; appends
                  only engage when a results/ directory already exists)
@@ -1608,40 +1608,49 @@ fn run_trace(
     Ok(code)
 }
 
-/// Prints the per-stage wall-clock table from a collected trace. The
-/// indented encode/saturate/extract rows are children of `stage:map` (per
-/// sequential operator), so they sub-divide it rather than add to it.
+/// Prints the per-stage wall-clock table from a collected trace.
 fn print_stage_table(report: &TraceReport) {
-    let total = report
-        .find("check_refinement")
-        .map(|s| s.dur_us)
-        .unwrap_or(0)
-        .max(1);
-    let stages = [
-        ("lint", "stage:lint"),
-        ("shard", "stage:shard"),
-        ("map", "stage:map"),
-        ("  encode", "encode"),
-        ("  saturate", "saturate"),
-        ("  extract", "extract"),
-        ("outputs", "stage:outputs"),
-        ("certify", "stage:certify"),
-    ];
-    let mut rows = Vec::new();
-    for (label, span) in stages {
-        let n = report.spans_named(span).count();
-        if n == 0 {
-            continue; // stage skipped (e.g. shard short-circuited the run)
-        }
+    entangle_bench::print_table(
+        &["stage", "spans", "time", "% of check"],
+        &stage_rows(report),
+    );
+}
+
+/// The stage table's rows: one per `stage:*` span directly under
+/// `check_refinement`, in the order the stages ran, so a stage the checker
+/// skipped (e.g. everything after a shard violation) has no row and a new
+/// stage needs no edit here. The indented encode/saturate/extract rows are
+/// the per-operator children of `stage:map`, so they sub-divide it rather
+/// than add to it.
+fn stage_rows(report: &TraceReport) -> Vec<Vec<String>> {
+    let Some(root) = report.find("check_refinement") else {
+        return Vec::new();
+    };
+    let total = root.dur_us.max(1);
+    let row = |label: &str, span: &str| {
         let us = report.total_us(span);
-        rows.push(vec![
+        vec![
             label.to_owned(),
-            n.to_string(),
+            report.spans_named(span).count().to_string(),
             format!("{:.1}ms", us as f64 / 1e3),
             format!("{:.1}%", us as f64 * 100.0 / total as f64),
-        ]);
+        ]
+    };
+    let mut rows = Vec::new();
+    for stage in report.children_of(root.id) {
+        let Some(label) = stage.name.strip_prefix("stage:") else {
+            continue;
+        };
+        rows.push(row(label, &stage.name));
+        if label == "map" {
+            for sub in ["encode", "saturate", "extract"] {
+                if report.find(sub).is_some() {
+                    rows.push(row(&format!("  {sub}"), sub));
+                }
+            }
+        }
     }
-    entangle_bench::print_table(&["stage", "spans", "time", "% of check"], &rows);
+    rows
 }
 
 /// Prints the hot-rule table, the stop-reason tally and the e-graph growth

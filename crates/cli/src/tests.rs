@@ -7,8 +7,10 @@ use crate::{
     parse_args, parse_invocation, parse_map_spec, parse_maps_file, run, run_traced, Command,
 };
 
-fn tmpdir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("entangle-cli-test-{}", std::process::id()));
+/// A fresh scratch directory private to one test: tests run in parallel and
+/// remove their directory when done, so sharing one would race.
+fn tmpdir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("entangle-cli-test-{}-{test}", std::process::id()));
     fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -86,7 +88,7 @@ fn parse_shard_command() {
 
 #[test]
 fn shard_command_end_to_end() {
-    let dir = tmpdir();
+    let dir = tmpdir("shard_command_end_to_end");
     let cfg = ModelConfig::tiny();
     let gs = gpt(&cfg);
     let dist = parallelize(&cfg, Arch::Gpt, &Strategy::tp(2));
@@ -120,6 +122,7 @@ fn shard_command_end_to_end() {
         json: true,
     };
     assert_eq!(run(&cmd), 0, "self-seeded shard analysis is clean");
+    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -216,7 +219,7 @@ fn parse_invocation_extracts_global_flags() {
 
 #[test]
 fn trace_subcommand_end_to_end() {
-    let dir = tmpdir();
+    let dir = tmpdir("trace_subcommand_end_to_end");
     let cfg = ModelConfig::tiny();
     let gs = gpt(&cfg);
     let dist = parallelize(&cfg, Arch::Gpt, &Strategy::tp(2));
@@ -262,6 +265,26 @@ fn trace_subcommand_end_to_end() {
     ] {
         assert!(report.find(stage).is_some(), "missing span {stage}");
     }
+    // The stage table lists every stage the check ran, the numeric
+    // analysis included.
+    let stages: Vec<String> = crate::stage_rows(&report)
+        .into_iter()
+        .map(|row| row[0].clone())
+        .collect();
+    for stage in [
+        "lint",
+        "shard",
+        "map",
+        "  saturate",
+        "outputs",
+        "certify",
+        "numeric",
+    ] {
+        assert!(
+            stages.iter().any(|s| s == stage),
+            "stage table lacks {stage:?}: {stages:?}"
+        );
+    }
     // The Perfetto export is emitted and shaped like a trace-event file.
     let perfetto = fs::read_to_string(&perfetto_path).unwrap();
     assert!(perfetto.starts_with("{\"traceEvents\":["));
@@ -303,7 +326,7 @@ fn trace_subcommand_end_to_end() {
 
 #[test]
 fn global_trace_flag_is_exit_code_neutral() {
-    let dir = tmpdir();
+    let dir = tmpdir("global_trace_flag_is_exit_code_neutral");
     let cfg = ModelConfig::tiny();
     let gs = gpt(&cfg);
     let dist = parallelize(&cfg, Arch::Gpt, &Strategy::tp(2));
@@ -366,7 +389,7 @@ fn maps_file_parsing() {
 
 #[test]
 fn end_to_end_check_via_files() {
-    let dir = tmpdir();
+    let dir = tmpdir("end_to_end_check_via_files");
     let cfg = ModelConfig::tiny();
     let gs = gpt(&cfg);
     let dist = parallelize(&cfg, Arch::Gpt, &Strategy::tp(2));
@@ -429,7 +452,7 @@ fn end_to_end_check_via_files() {
 #[test]
 fn expect_subcommand_end_to_end() {
     use entangle_ir::{DType, GraphBuilder, Op};
-    let dir = tmpdir();
+    let dir = tmpdir("expect_subcommand_end_to_end");
     // G_s: g = sum over rows; G_d: per-rank partials + aggregate.
     let mut gs = GraphBuilder::new("seq");
     let x = gs.input("x", &[4, 2], DType::F32);
@@ -511,7 +534,7 @@ fn lint_subcommand_parsing() {
 #[test]
 fn lint_subcommand_end_to_end() {
     use entangle_ir::{DType, Dim, GraphBuilder, Op};
-    let dir = tmpdir();
+    let dir = tmpdir("lint_subcommand_end_to_end");
 
     // A well-formed graph lints clean: exit code 0.
     let cfg = ModelConfig::tiny();

@@ -3,7 +3,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use entangle_cert::{CertError, Certificate, MappingCert};
@@ -54,21 +54,20 @@ pub struct CheckOptions {
     /// Run the `entangle-shard` abstract sharding-propagation pass between
     /// lint and saturation (on by default). Provable layout violations fail
     /// fast with [`RefinementError::ShardViolation`], anchored at the first
-    /// inconsistent `G_d` operator; proven layouts are exported as relation
-    /// hints that seed — and, where they fully cover an operator's output —
-    /// skip per-operator saturation. Turning this off reproduces the pure
-    /// Listing 1–3 pipeline (ablation).
-    pub shard_hints: bool,
+    /// inconsistent `G_d` operator. The pass only ever rejects: every
+    /// mapping in the relation still comes from saturation. Turning this off
+    /// reproduces the pure Listing 1–3 pipeline, localizing every bug by
+    /// saturation alone (ablation).
+    pub shard: bool,
     /// Proof-carrying refinement (on by default): extract a rewrite
     /// [`Certificate`] from the saturation e-graph and re-check it with the
     /// `entangle-cert` trusted kernel before reporting success. A rejected
     /// certificate fails the check with [`RefinementError::CertRejected`] —
     /// the engine found a "proof" the independent kernel could not validate.
-    /// Certification disables the sharding-propagation *hints* (their
-    /// mappings enter the relation without a rewrite derivation, so nothing
-    /// downstream of them could be certified); the propagation pass itself
-    /// still runs for its fail-fast layout diagnostics. Turn off to measure
-    /// the uncertified engine (`bench_cert`'s baseline).
+    /// Saturation builds the relation the same way with this flag on or
+    /// off; turning it off only skips the proof extraction and the kernel
+    /// re-check. Turn off to measure the uncertified engine (`bench_cert`'s
+    /// baseline).
     pub certify: bool,
     /// Structured-tracing sink (`entangle-trace`). The default null tracer
     /// is a true no-op; a real sink receives one span per pipeline stage,
@@ -92,8 +91,9 @@ pub struct CheckOptions {
     /// an inverse renaming, so reports, telemetry, and certificates are
     /// indistinguishable from a miss. Disabled automatically under symbolic
     /// dimensions or assumptions (the context is part of the problem but
-    /// not the key) and in the ablation modes. Turn off to measure the
-    /// uncached engine (`bench_par`'s baseline).
+    /// not the key) and in the ablation modes. Off, every operator solves
+    /// its canonical problem afresh: the same engine without reuse
+    /// (`bench_par`'s baseline).
     pub cache: bool,
     /// Template-lifted memoization (on by default): the `entangle-iso`
     /// static analysis partitions `G_s` into repeated structure classes
@@ -169,7 +169,7 @@ impl Default for CheckOptions {
             sym_ctx: SymCtx::new(),
             rewrites: None,
             lint: true,
-            shard_hints: true,
+            shard: true,
             certify: true,
             trace: Tracer::null(),
             jobs: entangle_par::available_jobs(),
@@ -186,7 +186,7 @@ impl Default for CheckOptions {
 /// How the scheduler and saturation memo behaved during one check.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParStats {
-    /// Worker threads the scheduler actually used (1 in the sequential
+    /// Worker threads the scheduler actually used (1 in the one-thread
     /// ablation modes regardless of [`CheckOptions::jobs`]).
     pub jobs: usize,
     /// Cores detected on this machine.
@@ -332,20 +332,16 @@ pub struct OpReport {
     pub name: String,
     /// Wall-clock time to compute its output relation.
     pub elapsed: Duration,
-    /// E-graph size after processing (0 when the operator was skipped on a
-    /// shard hint).
+    /// E-graph size after processing.
     pub egraph_nodes: usize,
-    /// Number of clean mappings found for its output.
+    /// Number of clean mappings found for its output, each backed by a
+    /// rewrite derivation from saturation.
     pub mappings: usize,
-    /// `true` when sharding-propagation hints covered this operator and
-    /// saturation was skipped entirely.
-    pub hinted: bool,
-    /// Frontier rounds (saturation runs) spent on this operator; 0 when it
-    /// was skipped on a hint.
+    /// Frontier rounds (saturation runs) spent on this operator.
     pub rounds: usize,
     /// Why this operator's saturation stopped: `Saturated` when every round
     /// ran the rules dry, otherwise the limit the last cut-short round hit.
-    /// `None` when saturation was skipped on a hint.
+    /// `None` when no saturation round ran.
     pub stop: Option<StopReason>,
 }
 
@@ -410,8 +406,8 @@ pub enum RefinementError {
     /// layout violation in `G_d`; no saturation was attempted. The
     /// diagnostics are anchored at the first inconsistent operator —
     /// usually a sharper localization than the saturation failure the same
-    /// bug would eventually cause. Disable with
-    /// [`CheckOptions::shard_hints`].
+    /// bug would eventually cause. The pass can only reject a check, never
+    /// verify one. Disable with [`CheckOptions::shard`].
     ShardViolation {
         /// The error-severity `SH##` diagnostics, in topological order.
         diagnostics: Vec<entangle_lint::Diagnostic>,
@@ -693,33 +689,16 @@ fn check_refinement_inner(
         }
     }
     // Abstract sharding propagation (entangle-shard): localize provable
-    // layout violations before any e-graph exists, and harvest proven
-    // layouts as per-operator relation hints. Certification keeps the
-    // fail-fast diagnostics but drops the hints: a hinted mapping enters
-    // the relation without a rewrite derivation, so neither it nor anything
-    // derived from it could be certified.
-    let hinted: HashMap<TensorId, Vec<RecExpr>> = if opts.shard_hints {
+    // layout violations before any e-graph exists.
+    if opts.shard {
         let t = stage_timer();
         let mut sp = tracer.span("stage:shard");
-        let r = shard_pass(gs, gd, ri, &opts.clean);
-        match &r {
-            Ok(hints) => {
-                sp.attr("outcome", "ok");
-                sp.attr("hinted_tensors", hints.len());
-            }
-            Err(_) => sp.attr("outcome", "violation"),
-        }
+        let r = shard_pass(gs, gd, ri);
+        sp.attr("outcome", if r.is_ok() { "ok" } else { "violation" });
         drop(sp);
         record_stage("check.stage.shard_us", t);
-        let hints = r?;
-        if opts.certify {
-            HashMap::new()
-        } else {
-            hints
-        }
-    } else {
-        HashMap::new()
-    };
+        r?;
+    }
 
     let rewrites = opts
         .rewrites
@@ -758,20 +737,18 @@ fn check_refinement_inner(
         .iter()
         .map(|&t| gd.tensor(t).name.as_str())
         .collect();
-    let gs_output_set: HashSet<TensorId> = gs.outputs().iter().copied().collect();
 
-    // Engine selection. The dependency-aware scheduler (and the memo built
-    // on it) needs per-operator e-graphs and the frontier rule — the
-    // ablation modes keep the exact sequential code path below. The memo
-    // additionally requires a concrete symbolic context: SymCtx is part of
-    // every problem but not of the cache key.
+    // Engine selection. Worker threads and the canonical engine need
+    // per-operator e-graphs and the frontier rule, so the ablation modes run
+    // the same scheduler on one thread with the direct engine. The canonical
+    // engine additionally requires a concrete symbolic context (SymCtx is
+    // part of every problem but not of the memo key); `cache` then only
+    // decides whether solved problems are kept for reuse.
     let can_schedule = opts.fresh_egraph_per_op && opts.frontier;
-    let use_cache = opts.cache
-        && can_schedule
-        && opts.sym_ctx.num_vars() == 0
-        && opts.sym_ctx.num_assumptions() == 0;
+    let canonical =
+        can_schedule && opts.sym_ctx.num_vars() == 0 && opts.sym_ctx.num_assumptions() == 0;
+    let use_cache = opts.cache && canonical;
     let jobs = if can_schedule { opts.jobs.max(1) } else { 1 };
-    let scheduled = can_schedule && (use_cache || jobs > 1);
     let cache: Option<ShardedCache<Solved>> = use_cache.then(|| {
         ShardedCache::with_counters(
             16,
@@ -798,192 +775,40 @@ fn check_refinement_inner(
         .map(|a| TemplateInfo::new(a, gs.nodes().len(), metrics));
 
     // Monolithic (ablation) mode: one shared e-graph with all of G_d.
-    let mut shared: Option<EGraph<TensorAnalysis>> = if opts.fresh_egraph_per_op {
-        None
-    } else {
+    let shared = (!opts.fresh_egraph_per_op).then(|| {
         let mut sp = tracer.span("encode:gd");
         let mut eg = fresh_egraph(gd, opts);
         for node in gd.nodes() {
             encode_node(&mut eg, gd, node);
         }
         sp.attr("nodes", eg.total_nodes());
-        Some(eg)
-    };
+        Mutex::new(eg)
+    });
 
     let map_timer = stage_timer();
     let map_stage = tracer.span("stage:map");
-    if scheduled {
-        let ctx = MapCtx::new(
-            gs,
-            gd,
-            opts,
-            &rewrites,
-            &hinted,
-            &gd_output_names,
-            &gs_output_set,
-            cache.as_ref(),
-            cfg_fp,
-            backoff.as_ref(),
-            templates.as_ref(),
-        );
-        let mut st = MapState {
-            relation: &mut relation,
-            stats: &mut stats,
-            saturation: &mut saturation,
-            op_reports: &mut op_reports,
-            certificate: &mut certificate,
-        };
-        map_stage_scheduled(&ctx, &mut st, jobs)?;
-    } else {
-        for node in gs.nodes() {
-            let start = Instant::now();
-            let mut osp = tracer.span(&format!("op:{}", node.name));
-            osp.attr("op", node.op.name());
-            let hint_exprs: &[RecExpr] = hinted.get(&node.output).map(Vec::as_slice).unwrap_or(&[]);
-
-            // A hint covers this operator when it proves at least one mapping —
-            // and, for a G_s *output*, at least one mapping over G_d outputs
-            // alone (otherwise the Listing 1 line 9 gate still needs whatever
-            // saturation can find). Clean-op nodes (add, concat, …) are never
-            // skipped: their saturation is cheap, and the alternate mappings it
-            // discovers carry the leaf diversity later frontiers seed from —
-            // skipping them can starve a downstream operator of the very G_d
-            // names it needs to pull producers into its frontier.
-            let covered = !hint_exprs.is_empty()
-                && !opts.clean.is_clean(node.op.name())
-                && (!gs_output_set.contains(&node.output)
-                    || hint_exprs.iter().any(|e| {
-                        e.leaf_symbols()
-                            .iter()
-                            .all(|s| gd_output_names.contains(s.as_str()))
-                    }));
-            if covered {
-                for expr in hint_exprs {
-                    relation.insert(node.output, expr.clone());
-                }
-                osp.attr("hinted", "true");
-                osp.attr("mappings", hint_exprs.len());
-                op_reports.push(OpReport {
-                    name: node.name.clone(),
-                    elapsed: start.elapsed(),
-                    egraph_nodes: 0,
-                    mappings: hint_exprs.len(),
-                    hinted: true,
-                    rounds: 0,
-                    stop: None,
-                });
-                continue;
-            }
-
-            // The inputs' first mappings, in operator order: the saturation base
-            // term applies the operator to exactly these (see node_out_rel step
-            // 1), so they are what a mapping certificate must record.
-            let first_inputs: Vec<RecExpr> = node
-                .inputs
-                .iter()
-                .filter_map(|&t| relation.mappings(t).and_then(<[RecExpr]>::first).cloned())
-                .collect();
-
-            let attempt = match &mut shared {
-                Some(eg) => {
-                    let m = node_out_rel(
-                        gs,
-                        gd,
-                        node,
-                        &relation,
-                        opts,
-                        &rewrites,
-                        &mut stats,
-                        &mut saturation,
-                        eg,
-                        false,
-                        backoff.as_ref(),
-                        tracer,
-                    );
-                    let n = eg.total_nodes();
-                    m.map(|m| (m, n))
-                }
-                None => {
-                    let mut eg = fresh_egraph(gd, opts);
-                    let m = node_out_rel(
-                        gs,
-                        gd,
-                        node,
-                        &relation,
-                        opts,
-                        &rewrites,
-                        &mut stats,
-                        &mut saturation,
-                        &mut eg,
-                        opts.frontier,
-                        backoff.as_ref(),
-                        tracer,
-                    );
-                    let n = eg.total_nodes();
-                    m.map(|m| (m, n))
-                }
-            };
-            let (search, nodes_after, rescued) = match attempt {
-                Ok((s, n)) => (s, n, false),
-                // Saturation found nothing, but the hints *prove* mappings over
-                // G_d intermediates: defer to the R_o gate below, which reports
-                // the sharper "reconstructs only from intermediates" failure.
-                Err(e) if !hint_exprs.is_empty() => {
-                    osp.attr("outcome", "rescued-by-hints");
-                    let _ = e;
-                    (NodeSearch::default(), 0, true)
-                }
-                Err(e) => {
-                    osp.attr("outcome", error_kind(&e));
-                    return Err(e);
-                }
-            };
-            let NodeSearch {
-                mappings,
-                rounds,
-                stop,
-            } = search;
-            for (expr, proof) in mappings {
-                if let Some(c) = &mut certificate {
-                    let proof = proof.ok_or_else(|| RefinementError::CertRejected {
-                        error: CertError::Rejected {
-                            tensor: gs.tensor(node.output).name.clone(),
-                            reason: format!(
-                                "the engine could not extract a rewrite chain for {expr}"
-                            ),
-                        },
-                    })?;
-                    c.mappings.push(MappingCert {
-                        tensor: gs.tensor(node.output).name.clone(),
-                        operator: node.name.clone(),
-                        inputs: first_inputs.clone(),
-                        expr: expr.clone(),
-                        proof,
-                    });
-                }
-                relation.insert(node.output, expr);
-            }
-            for expr in hint_exprs {
-                relation.insert(node.output, expr.clone());
-            }
-            let n_mappings = relation.mappings(node.output).map_or(0, <[RecExpr]>::len);
-            osp.attr("mappings", n_mappings);
-            osp.attr("egraph_nodes", nodes_after);
-            osp.attr("rounds", rounds);
-            if let Some(stop) = stop {
-                osp.attr("stop", stop);
-            }
-            op_reports.push(OpReport {
-                name: node.name.clone(),
-                elapsed: start.elapsed(),
-                egraph_nodes: nodes_after,
-                mappings: n_mappings,
-                hinted: rescued,
-                rounds,
-                stop,
-            });
-        }
-    }
+    let ctx = MapCtx {
+        gs,
+        gd,
+        opts,
+        rewrites: &rewrites,
+        nodes: gs.nodes().iter().collect(),
+        canonical,
+        cache: cache.as_ref(),
+        cfg_fp,
+        backoff: backoff.as_ref(),
+        templates: templates.as_ref(),
+        consumers: GdConsumers::new(gd),
+        shared,
+    };
+    let mut st = MapState {
+        relation: &mut relation,
+        stats: &mut stats,
+        saturation: &mut saturation,
+        op_reports: &mut op_reports,
+        certificate: &mut certificate,
+    };
+    map_stage_scheduled(&ctx, &mut st, jobs)?;
     drop(map_stage);
     record_stage("check.stage.map_us", map_timer);
 
@@ -1113,9 +938,6 @@ fn check_refinement_inner(
         metrics
             .counter("check.operators")
             .add(op_reports.len() as u64);
-        metrics
-            .counter("check.operators.hinted")
-            .add(op_reports.iter().filter(|r| r.hinted).count() as u64);
         if let Some(t) = &templates {
             metrics
                 .counter("par.template.instantiated")
@@ -1244,17 +1066,11 @@ pub fn problem_fingerprint(gs: &Graph, gd: &Graph, ri: &Relation, opts: &CheckOp
     format!("{h:016x}")
 }
 
-/// Runs the sharding-propagation pass and converts its products: errors
-/// become [`RefinementError::ShardViolation`]; hints are filtered to the
-/// clean-operator set, re-validated through the relation builder (shape,
-/// dtype, names), and keyed by `G_s` tensor id. A hint that fails
-/// validation is dropped — hints are an optimization, never an authority.
-fn shard_pass(
-    gs: &Graph,
-    gd: &Graph,
-    ri: &Relation,
-    clean: &CleanOps,
-) -> Result<HashMap<TensorId, Vec<RecExpr>>, RefinementError> {
+/// Runs the sharding-propagation pass and converts its error-severity
+/// `SH##` diagnostics into [`RefinementError::ShardViolation`]. The pass's
+/// relation hints are not consumed: a mapping enters the relation only with
+/// a rewrite derivation behind it.
+fn shard_pass(gs: &Graph, gd: &Graph, ri: &Relation) -> Result<(), RefinementError> {
     let maps: Vec<(String, RecExpr)> = ri
         .iter()
         .flat_map(|(t, exprs)| {
@@ -1263,34 +1079,15 @@ fn shard_pass(
         })
         .collect();
     let analysis = entangle_shard::analyze_pair(gs, gd, &maps, &[]);
-    if !analysis.is_clean() {
-        let diagnostics: Vec<_> = analysis.report.errors().cloned().collect();
-        let rendered = diagnostics.iter().map(|d| d.render(Some(gd))).collect();
-        return Err(RefinementError::ShardViolation {
-            diagnostics,
-            rendered,
-        });
+    if analysis.is_clean() {
+        return Ok(());
     }
-    let mut hinted: HashMap<TensorId, Vec<RecExpr>> = HashMap::new();
-    for hint in &analysis.hints {
-        if hint.op.is_some_and(|op| !clean.is_clean(op)) {
-            continue;
-        }
-        let Some(t) = gs.tensor_by_name(&hint.gs_tensor) else {
-            continue;
-        };
-        let mut b = Relation::builder(gs, gd);
-        if b.map(&hint.gs_tensor, &hint.expr).is_err() {
-            continue;
-        }
-        for expr in b.build().mappings(t.id).unwrap_or(&[]) {
-            let entry = hinted.entry(t.id).or_default();
-            if !entry.contains(expr) {
-                entry.push(expr.clone());
-            }
-        }
-    }
-    Ok(hinted)
+    let diagnostics: Vec<_> = analysis.report.errors().cloned().collect();
+    let rendered = diagnostics.iter().map(|d| d.render(Some(gd))).collect();
+    Err(RefinementError::ShardViolation {
+        diagnostics,
+        rendered,
+    })
 }
 
 fn fresh_egraph(gd: &Graph, opts: &CheckOptions) -> EGraph<TensorAnalysis> {
@@ -1304,15 +1101,17 @@ fn fresh_egraph(gd: &Graph, opts: &CheckOptions) -> EGraph<TensorAnalysis> {
 // ---------------------------------------------------------------------------
 // The dependency-aware operator scheduler (entangle-par).
 //
+// Every option combination maps operators through this one path:
+// `map_stage_scheduled` dispatches, `run_op` solves, `merge_run` merges.
 // G_s operators only depend on each other through the relation: an operator
 // is dispatchable once every producer of one of its inputs has *completed*
-// (its mappings and hints are staged in the relation — identical to its
-// post-merge state). Workers solve operators out of order; the coordinator
-// merges results strictly in G_s index order, so reports, relation contents,
-// certificates, and trace structure match the sequential engine for any
-// worker count. Failure handling relies on the same invariant: the first
-// error the merge cursor reaches is the same first error the sequential
-// loop would have hit, because every operator before it merged successfully
+// (its mappings are staged in the relation — identical to its post-merge
+// state). Workers solve operators out of order; the coordinator merges
+// results strictly in G_s index order, so reports, relation contents,
+// certificates, and trace structure match the one-thread (jobs = 1) run for
+// any worker count. Failure handling relies on the same invariant: the
+// first error the merge cursor reaches is the same first error an in-order
+// run would have hit, because every operator before it merged successfully
 // with identical inputs.
 // ---------------------------------------------------------------------------
 
@@ -1382,10 +1181,10 @@ struct MapCtx<'a> {
     opts: &'a CheckOptions,
     rewrites: &'a [Rewrite<TensorAnalysis>],
     nodes: Vec<&'a Node>,
-    /// Per operator: the shard hints proving mappings of its output.
-    hint_vecs: Vec<&'a [RecExpr]>,
-    /// Per operator: `true` when hints fully cover it (no saturation).
-    covered: Vec<bool>,
+    /// Solve operators as canonical problems (`build_problem` /
+    /// `solve_problem`); `false` runs the direct engine.
+    canonical: bool,
+    /// The saturation memo over canonical problems (`None` when off).
     cache: Option<&'a ShardedCache<Solved>>,
     cfg_fp: String,
     backoff: Option<&'a BackoffSchedule>,
@@ -1393,60 +1192,10 @@ struct MapCtx<'a> {
     /// Consumer index over `G_d`, built once and shared by every
     /// `build_problem` frontier closure.
     consumers: GdConsumers,
-}
-
-impl<'a> MapCtx<'a> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        gs: &'a Graph,
-        gd: &'a Graph,
-        opts: &'a CheckOptions,
-        rewrites: &'a [Rewrite<TensorAnalysis>],
-        hinted: &'a HashMap<TensorId, Vec<RecExpr>>,
-        gd_output_names: &HashSet<&str>,
-        gs_output_set: &HashSet<TensorId>,
-        cache: Option<&'a ShardedCache<Solved>>,
-        cfg_fp: String,
-        backoff: Option<&'a BackoffSchedule>,
-        templates: Option<&'a TemplateInfo>,
-    ) -> Self {
-        let nodes: Vec<&Node> = gs.nodes().iter().collect();
-        let hint_vecs: Vec<&[RecExpr]> = nodes
-            .iter()
-            .map(|n| hinted.get(&n.output).map(Vec::as_slice).unwrap_or(&[]))
-            .collect();
-        // Same coverage rule as the sequential loop: a hint covers an
-        // operator when it proves a mapping (for a G_s output: over G_d
-        // outputs alone), and clean-op nodes are never skipped.
-        let covered: Vec<bool> = nodes
-            .iter()
-            .zip(&hint_vecs)
-            .map(|(node, hint_exprs)| {
-                !hint_exprs.is_empty()
-                    && !opts.clean.is_clean(node.op.name())
-                    && (!gs_output_set.contains(&node.output)
-                        || hint_exprs.iter().any(|e| {
-                            e.leaf_symbols()
-                                .iter()
-                                .all(|s| gd_output_names.contains(s.as_str()))
-                        }))
-            })
-            .collect();
-        MapCtx {
-            gs,
-            gd,
-            opts,
-            rewrites,
-            nodes,
-            hint_vecs,
-            covered,
-            cache,
-            cfg_fp,
-            backoff,
-            templates,
-            consumers: GdConsumers::new(gd),
-        }
-    }
+    /// The monolithic ablation's one e-graph holding all of `G_d`, reused by
+    /// every operator (`None` with [`CheckOptions::fresh_egraph_per_op`]).
+    /// That mode always runs with one job, so the lock is never contended.
+    shared: Option<Mutex<EGraph<TensorAnalysis>>>,
 }
 
 /// The coordinator's mutable check state (owned by the calling thread).
@@ -1465,8 +1214,6 @@ struct OpSuccess {
     rounds: usize,
     stop: Option<StopReason>,
     egraph_nodes: usize,
-    /// Search failed but shard hints prove mappings: defer to the R_o gate.
-    rescued: bool,
 }
 
 struct OpFail {
@@ -1697,7 +1444,7 @@ fn instantiate_template(
         }
         return None;
     }
-    // Restore the sequential engine's (cost, real text) ordering.
+    // Restore the (cost, real text) ordering of a concrete solve.
     mapped.sort_by(|a, b| {
         a.0.partial_cmp(&b.0)
             .unwrap_or(std::cmp::Ordering::Equal)
@@ -1707,10 +1454,12 @@ fn instantiate_template(
 }
 
 /// Solves one operator on the current thread. `per_input` is the snapshot
-/// of its inputs' final mappings (operator order). With a cache, the
-/// canonical memo engine runs; without one, the classic per-operator search
-/// runs against a private e-graph. Either way the operator's spans go to a
-/// buffering sub-tracer for in-order replay.
+/// of its inputs' final mappings (operator order). The canonical engine
+/// solves a name-canonicalized problem (through the memo when one is on);
+/// the direct engine — ablation modes and symbolic contexts — runs the
+/// classic per-operator search against a private or the shared e-graph.
+/// Either way the operator's spans go to a buffering sub-tracer for
+/// in-order replay.
 fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>], traced: bool) -> OpResult {
     let start = Instant::now();
     let node = ctx.nodes[idx];
@@ -1726,11 +1475,10 @@ fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>], traced: bool) ->
     let mut osp = tracer.span(&format!("op:{}", node.name));
     osp.attr("op", node.op.name());
 
-    let mut outcome: Result<OpSuccess, OpFail> = if per_input.iter().any(|m| m.is_empty()) {
+    let outcome: Result<OpSuccess, OpFail> = if per_input.iter().any(|m| m.is_empty()) {
         Err(OpFail { stop: None })
-    } else if let Some(cache) = ctx.cache {
+    } else if ctx.canonical {
         let (problem, back) = build_problem(ctx.gs, ctx.gd, node, per_input, &ctx.consumers);
-        let key = problem.key(&ctx.cfg_fp);
         // Template lift: a node in a repeated class additionally gets a
         // per-template key with slice bounds abstracted to placeholders and
         // frontier-definition names structure-normalized.
@@ -1759,15 +1507,17 @@ fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>], traced: bool) ->
             }
             _ => None,
         };
-        let solved = match from_template {
-            Some(solved) => solved,
-            None => match cache.get(&key) {
-                Some(v) => v,
-                None => cache.insert(
-                    key,
-                    solve_problem(&problem, ctx.opts, ctx.rewrites, ctx.backoff),
-                ),
-            },
+        let solve = || solve_problem(&problem, ctx.opts, ctx.rewrites, ctx.backoff);
+        let solved = match (from_template, ctx.cache) {
+            (Some(solved), _) => solved,
+            (None, Some(cache)) => {
+                let key = problem.key(&ctx.cfg_fp);
+                match cache.get(&key) {
+                    Some(v) => v,
+                    None => cache.insert(key, solve()),
+                }
+            }
+            (None, None) => Arc::new(solve()),
         };
         // The representative publishes the class entry — whether its own
         // solve was fresh or a concrete-memo hit — so member behaviour
@@ -1797,13 +1547,12 @@ fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>], traced: bool) ->
                 rounds: solved.rounds,
                 stop: solved.stop,
                 egraph_nodes: solved.egraph_nodes,
-                rescued: false,
             })
         } else if solved.variants.is_empty() {
             Err(OpFail { stop: solved.stop })
         } else {
-            // Rename back to real G_d tensors, then restore the sequential
-            // engine's (cost, real text) ordering.
+            // Rename back to real G_d tensors, then restore the (cost, real
+            // text) ordering.
             let mut mapped: Vec<(f64, RecExpr, Option<Proof>)> = solved
                 .variants
                 .iter()
@@ -1825,19 +1574,32 @@ fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>], traced: bool) ->
                 rounds: solved.rounds,
                 stop: solved.stop,
                 egraph_nodes: solved.egraph_nodes,
-                rescued: false,
             })
         }
     } else {
-        // Direct engine: the classic search against a private e-graph, with
-        // the inputs' mappings staged in a local relation slice.
+        // Direct engine: the classic search against a private e-graph (or
+        // the monolithic ablation's shared one), with the inputs' mappings
+        // staged in a local relation slice.
         let mut local = Relation::new();
         for (&t, exprs) in node.inputs.iter().zip(per_input) {
             for e in exprs {
                 local.insert(t, e.clone());
             }
         }
-        let mut eg = fresh_egraph(ctx.gd, ctx.opts);
+        let mut fresh;
+        let mut guard;
+        let eg = match &ctx.shared {
+            Some(shared) => {
+                guard = shared.lock().expect("shared e-graph lock");
+                &mut *guard
+            }
+            None => {
+                fresh = fresh_egraph(ctx.gd, ctx.opts);
+                &mut fresh
+            }
+        };
+        // The shared e-graph already holds all of G_d: no frontier to grow.
+        let frontier = ctx.opts.frontier && ctx.shared.is_none();
         match node_out_rel(
             ctx.gs,
             ctx.gd,
@@ -1847,8 +1609,8 @@ fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>], traced: bool) ->
             ctx.rewrites,
             &mut stats,
             &mut summary,
-            &mut eg,
-            true,
+            eg,
+            frontier,
             ctx.backoff,
             &tracer,
         ) {
@@ -1857,7 +1619,6 @@ fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>], traced: bool) ->
                 rounds: search.rounds,
                 stop: search.stop,
                 egraph_nodes: eg.total_nodes(),
-                rescued: false,
             }),
             Err(e) => {
                 let stop = match &e {
@@ -1868,18 +1629,6 @@ fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>], traced: bool) ->
             }
         }
     };
-    if outcome.is_err() && !ctx.hint_vecs[idx].is_empty() {
-        // Saturation found nothing, but the hints *prove* mappings over G_d
-        // intermediates: defer to the R_o gate, as the sequential loop does.
-        osp.attr("outcome", "rescued-by-hints");
-        outcome = Ok(OpSuccess {
-            mappings: Vec::new(),
-            rounds: 0,
-            stop: None,
-            egraph_nodes: 0,
-            rescued: true,
-        });
-    }
     drop(osp);
     OpResult {
         outcome,
@@ -1944,39 +1693,12 @@ fn stage_result(ctx: &MapCtx, relation: &mut Relation, idx: usize, success: &OpS
     for (expr, _) in &success.mappings {
         relation.insert(out, expr.clone());
     }
-    for expr in ctx.hint_vecs[idx] {
-        relation.insert(out, expr.clone());
-    }
-}
-
-/// Merges a hint-covered operator at its turn: same span, report, and
-/// relation contents as the sequential loop's skip branch.
-fn merge_covered(ctx: &MapCtx, st: &mut MapState, idx: usize, elapsed: Duration) {
-    let node = ctx.nodes[idx];
-    let hint_exprs = ctx.hint_vecs[idx];
-    for expr in hint_exprs {
-        st.relation.insert(node.output, expr.clone());
-    }
-    let mut osp = ctx.opts.trace.span(&format!("op:{}", node.name));
-    osp.attr("op", node.op.name());
-    osp.attr("hinted", "true");
-    osp.attr("mappings", hint_exprs.len());
-    drop(osp);
-    st.op_reports.push(OpReport {
-        name: node.name.clone(),
-        elapsed,
-        egraph_nodes: 0,
-        mappings: hint_exprs.len(),
-        hinted: true,
-        rounds: 0,
-        stop: None,
-    });
 }
 
 /// Merges one solved operator at its in-order turn: certificate assembly,
 /// relation insertion, trace replay (with the coordinator-side outcome
 /// attributes appended), and the operator report — or the localized
-/// failure, which is the same failure the sequential loop reports because
+/// failure, which is the same failure an in-order run reports because
 /// every earlier operator already merged with identical inputs.
 fn merge_run(
     ctx: &MapCtx,
@@ -2026,9 +1748,6 @@ fn merge_run(
                 }
                 st.relation.insert(node.output, expr.clone());
             }
-            for expr in ctx.hint_vecs[idx] {
-                st.relation.insert(node.output, expr.clone());
-            }
             let n_mappings = st
                 .relation
                 .mappings(node.output)
@@ -2048,7 +1767,6 @@ fn merge_run(
                 elapsed: res.elapsed,
                 egraph_nodes: success.egraph_nodes,
                 mappings: n_mappings,
-                hinted: success.rescued,
                 rounds: success.rounds,
                 stop: success.stop,
             });
@@ -2083,14 +1801,8 @@ fn merge_run(
     }
 }
 
-/// What the coordinator holds for a completed-but-not-yet-merged operator.
-enum Done {
-    Covered,
-    Run(Box<OpResult>, usize),
-}
-
 /// Snapshot of an operator's input mappings at dispatch time. Producers
-/// have completed (and staged), so this equals the sequential engine's view.
+/// have completed (and staged), so this equals an in-order run's view.
 fn snapshot_inputs(relation: &Relation, node: &Node) -> Vec<Vec<RecExpr>> {
     node.inputs
         .iter()
@@ -2114,14 +1826,8 @@ fn map_stage_scheduled(
     let traced = ctx.opts.trace.is_enabled();
 
     if jobs <= 1 {
-        // In-process scheduling: same engine, no worker threads. (Reached
-        // when the memo is on; jobs=1 with the memo off takes the exact
-        // sequential code path in the caller.)
+        // In-process scheduling: same engine, no worker threads.
         for idx in 0..n {
-            if ctx.covered[idx] {
-                merge_covered(ctx, st, idx, Duration::ZERO);
-                continue;
-            }
             let per_input = snapshot_inputs(st.relation, ctx.nodes[idx]);
             let res = run_op(ctx, idx, &per_input, traced);
             merge_run(ctx, st, idx, res, 0)?;
@@ -2130,8 +1836,8 @@ fn map_stage_scheduled(
     }
 
     // Producer dependencies, restricted to earlier operators: a producer
-    // appearing *later* would leave this input unmapped in the sequential
-    // engine too, so the operator dispatches immediately and fails the
+    // appearing *later* would leave this input unmapped in an in-order run
+    // too, so the operator dispatches immediately and fails the
     // same way.
     let out_to_idx: HashMap<TensorId, usize> = ctx
         .nodes
@@ -2175,7 +1881,7 @@ fn map_stage_scheduled(
     let mut ready: std::collections::BTreeSet<usize> =
         (0..n).filter(|&i| dep_count[i] == 0).collect();
     let mut dispatched = vec![false; n];
-    let mut pending: HashMap<usize, Done> = HashMap::new();
+    let mut pending: HashMap<usize, (OpResult, usize)> = HashMap::new();
     let mut merge_ptr = 0usize;
     // Operators at or beyond the smallest failed index can never merge;
     // stop dispatching them so the check drains promptly.
@@ -2188,41 +1894,18 @@ fn map_stage_scheduled(
             if merge_ptr == n {
                 return Ok(());
             }
-            // Dispatch everything ready (covered operators complete inline,
-            // possibly readying their consumers within this loop).
-            while let Some(&idx) = ready.iter().next() {
-                ready.remove(&idx);
+            // Dispatch everything ready.
+            while let Some(idx) = ready.pop_first() {
                 if min_failed.is_some_and(|f| idx >= f) {
                     continue;
                 }
                 dispatched[idx] = true;
-                if ctx.covered[idx] {
-                    for expr in ctx.hint_vecs[idx] {
-                        st.relation.insert(ctx.nodes[idx].output, expr.clone());
-                    }
-                    pending.insert(idx, Done::Covered);
-                    for &c in &consumers[idx] {
-                        dep_count[c] -= 1;
-                        if dep_count[c] == 0 && !dispatched[c] {
-                            ready.insert(c);
-                        }
-                    }
-                } else {
-                    pool.submit(idx, snapshot_inputs(st.relation, ctx.nodes[idx]));
-                }
+                pool.submit(idx, snapshot_inputs(st.relation, ctx.nodes[idx]));
             }
             // Merge every consecutively completed operator.
-            while let Some(done) = pending.remove(&merge_ptr) {
-                let idx = merge_ptr;
+            while let Some((res, worker)) = pending.remove(&merge_ptr) {
+                merge_run(ctx, st, merge_ptr, res, worker)?;
                 merge_ptr += 1;
-                match done {
-                    Done::Covered => {
-                        // Hints were staged at dispatch; relation insertion
-                        // here dedups to the same contents.
-                        merge_covered(ctx, st, idx, Duration::ZERO);
-                    }
-                    Done::Run(res, worker) => merge_run(ctx, st, idx, *res, worker)?,
-                }
                 if merge_ptr == n {
                     return Ok(());
                 }
@@ -2246,14 +1929,13 @@ fn map_stage_scheduled(
                     min_failed = Some(min_failed.map_or(idx, |f| f.min(idx)));
                 }
             }
-            pending.insert(idx, Done::Run(Box::new(res), worker));
+            pending.insert(idx, (res, worker));
         }
     })
 }
 
 /// What one operator's mapping search produced (alongside the lemma stats
 /// and saturation telemetry accumulated through the `&mut` params).
-#[derive(Default)]
 struct NodeSearch {
     /// Clean mappings with their optional proofs.
     mappings: Vec<(RecExpr, Option<Proof>)>,
@@ -2511,10 +2193,10 @@ fn extract_clean_variants(
 
 /// [`extract_clean_variants`] keeping each variant's extraction cost — the
 /// saturation memo stores costs so a cache hit can re-sort the renamed
-/// variants exactly as the sequential engine would have.
+/// variants exactly as a concrete solve would have.
 ///
-/// `leaf_bias` adds a per-leaf cost on top of [`clean_cost`]. The
-/// sequential engine passes zero; the canonical memo engine passes a tiny
+/// `leaf_bias` adds a per-leaf cost on top of [`clean_cost`]. The direct
+/// engine passes zero; the canonical engine passes a tiny
 /// first-occurrence-index bias so extraction ties between equal-cost leaves
 /// (e.g. a scale-half/scale-double chain collapsing several tensors into
 /// one class) break toward the most *upstream* leaf by construction instead

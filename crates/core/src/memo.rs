@@ -531,7 +531,7 @@ pub(crate) struct Solved {
     /// Limit-sticky stop reason across rounds.
     pub stop: Option<StopReason>,
     /// E-graph size after extraction and proof generation (matches the
-    /// sequential engine's measurement point).
+    /// direct engine's measurement point).
     pub egraph_nodes: usize,
     /// E-graph size right after base-term encoding (the `encode` span
     /// attribute).

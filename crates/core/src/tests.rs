@@ -62,12 +62,12 @@ fn figure1() -> (
     (gs, gd, f, c, e)
 }
 
-/// Options with shard hints off, for tests asserting *saturation* side
-/// effects (lemma applications, e-graph sizes, mapping variants) that
-/// hint-covered operators legitimately skip.
+/// Options with the sharding-propagation pass off, for tests asserting
+/// *saturation* side effects (lemma applications, e-graph sizes, mapping
+/// variants) of the pure Listing 1–3 pipeline.
 fn saturation_opts() -> CheckOptions {
     CheckOptions {
-        shard_hints: false,
+        shard: false,
         ..CheckOptions::default()
     }
 }

@@ -322,7 +322,7 @@ fn no_false_alarms_on_fixed_twins() {
 
 #[test]
 fn bug1_localizes_to_rope_operator() {
-    // With shard hints on (the default), the sharding-propagation pass
+    // With the shard pass on (the default), the sharding-propagation pass
     // catches the misaligned rotary tables *before* saturation, anchored at
     // the rope operator in G_d.
     let case = bug(1, true);
@@ -340,9 +340,10 @@ fn bug1_localizes_to_rope_operator() {
         }
         other => panic!("expected SH02 rope localization, got {other:?}"),
     }
-    // Pure saturation (hints ablated) still localizes to the same operator.
+    // Pure saturation (shard pass ablated) still localizes to the same
+    // operator.
     let opts = CheckOptions {
-        shard_hints: false,
+        shard: false,
         ..CheckOptions::default()
     };
     match case.run(&opts) {
@@ -409,7 +410,7 @@ fn bug7_localizes_to_second_matmul() {
         other => panic!("expected SH04 partial-sum localization, got {other:?}"),
     }
     let opts = CheckOptions {
-        shard_hints: false,
+        shard: false,
         ..CheckOptions::default()
     };
     match case.run(&opts) {

@@ -7,8 +7,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace (root suites plus every crate's own tests)"
+cargo test -q --workspace
 
 echo "==> model-zoo shard sweep (entangle shard over exported strategies)"
 cargo run --release -q -p entangle-bench --bin export_zoo -- examples/graphs

@@ -11,6 +11,12 @@
 //! - the `worker` span attribute — records which thread ran the operator;
 //! - [`entangle::ParStats`] — hit/miss counts depend on scheduling order
 //!   by design (the one documented jobs-dependent field).
+//!
+//! The same contract covers the memo-off runs (`cache: false`), which take
+//! the canonical engine through the same scheduler without storing solved
+//! problems. They must reproduce the default verdict, relations and
+//! certificate exactly, and its telemetry too unless template members
+//! replayed their representative's telemetry in the default run.
 
 use entangle::{check_refinement, CheckOptions, CheckOutcome, RefinementError};
 use entangle_bench::zoo;
@@ -37,12 +43,14 @@ fn trace_signature(records: &[Record]) -> String {
 }
 
 /// Deterministic fingerprint of a full check result (see module docs for
-/// the exclusions).
+/// the exclusions), split into the verdict half (relations, per-operator
+/// mapping counts, certificate) and the saturation-telemetry half.
 fn outcome_signature(
     gs: &entangle_ir::Graph,
     result: &Result<CheckOutcome, RefinementError>,
-) -> String {
+) -> (String, String) {
     let mut out = String::new();
+    let mut tel_out = String::new();
     match result {
         Err(e) => {
             out.push_str(&format!("FAILED\n{e:?}\n"));
@@ -56,25 +64,33 @@ fn outcome_signature(
             out.push_str("== op reports ==\n");
             for r in &o.op_reports {
                 out.push_str(&format!(
-                    "{} nodes={} mappings={} hinted={} rounds={} stop={:?}\n",
-                    r.name, r.egraph_nodes, r.mappings, r.hinted, r.rounds, r.stop
+                    "{} mappings={} rounds={} stop={:?}\n",
+                    r.name, r.mappings, r.rounds, r.stop
                 ));
+                tel_out.push_str(&format!("{} nodes={}\n", r.name, r.egraph_nodes));
             }
-            out.push_str("== lemma stats ==\n");
+            out.push_str("== certificate ==\n");
+            match &o.certificate {
+                None => out.push_str("none\n"),
+                Some(cert) => {
+                    out.push_str(&entangle_cert::to_json(cert).expect("certificate serializes"));
+                }
+            }
+            tel_out.push_str("== lemma stats ==\n");
             let mut lemmas: Vec<(&str, u64)> = o.lemma_stats.iter().collect();
             lemmas.sort();
             for (name, count) in lemmas {
-                out.push_str(&format!("{name}={count}\n"));
+                tel_out.push_str(&format!("{name}={count}\n"));
             }
-            out.push_str("== saturation ==\n");
-            out.push_str(&format!("stops={:?}\n", o.saturation.stops));
+            tel_out.push_str("== saturation ==\n");
+            tel_out.push_str(&format!("stops={:?}\n", o.saturation.stops));
             let tel = &o.saturation.telemetry;
-            out.push_str(&format!(
+            tel_out.push_str(&format!(
                 "searched={} skipped={}\n",
                 tel.searched_classes, tel.skipped_classes
             ));
             for it in &tel.iterations {
-                out.push_str(&format!(
+                tel_out.push_str(&format!(
                     "iter nodes={} classes={} memo={}\n",
                     it.nodes, it.classes, it.memo
                 ));
@@ -86,55 +102,69 @@ fn outcome_signature(
                 .collect();
             rules.sort();
             for (name, matches, applications) in rules {
-                out.push_str(&format!("rule {name} m={matches} a={applications}\n"));
-            }
-            out.push_str("== certificate ==\n");
-            match &o.certificate {
-                None => out.push_str("none\n"),
-                Some(cert) => {
-                    out.push_str(&entangle_cert::to_json(cert).expect("certificate serializes"));
-                }
+                tel_out.push_str(&format!("rule {name} m={matches} a={applications}\n"));
             }
         }
     }
-    out
+    (out, tel_out)
 }
 
-fn opts_with(jobs: usize, tracer: &Tracer) -> CheckOptions {
+fn opts_with(jobs: usize, cache: bool, tracer: &Tracer) -> CheckOptions {
     CheckOptions {
         jobs,
+        cache,
         trace: tracer.clone(),
         ..CheckOptions::default()
     }
 }
 
+/// `(jobs, cache)` configurations compared against the first one (the
+/// default at jobs=1).
+const CONFIGS: [(usize, bool); 5] = [(1, true), (2, true), (4, true), (1, false), (2, false)];
+
 #[test]
 fn zoo_outcomes_are_identical_across_jobs() {
     for case in zoo() {
         let ri = case.dist.relation(&case.gs).expect("relation builds");
-        let mut baseline: Option<(String, String)> = None;
-        for jobs in [1usize, 2, 4] {
+        // The jobs=1 default run, and the memo-off telemetry reference.
+        let mut baseline: Option<(String, String, String)> = None;
+        let mut telemetry_ref: Option<(String, String)> = None;
+        for (jobs, cache) in CONFIGS {
             let (tracer, sink) = Tracer::collect();
-            let result =
-                check_refinement(&case.gs, &case.dist.graph, &ri, &opts_with(jobs, &tracer));
+            let opts = opts_with(jobs, cache, &tracer);
+            let result = check_refinement(&case.gs, &case.dist.graph, &ri, &opts);
             drop(tracer);
-            let sig = outcome_signature(&case.gs, &result);
+            let (sig, tel) = outcome_signature(&case.gs, &result);
             let trace_sig = trace_signature(&sink.records());
-            match &baseline {
-                None => baseline = Some((sig, trace_sig)),
-                Some((s0, t0)) => {
-                    assert_eq!(
-                        s0, &sig,
-                        "{}: outcome differs between jobs=1 and jobs={jobs}",
-                        case.name
-                    );
-                    assert_eq!(
-                        t0, &trace_sig,
-                        "{}: trace structure differs between jobs=1 and jobs={jobs}",
-                        case.name
-                    );
+            let Some((s0, tel0, t0)) = &baseline else {
+                let replayed = result.as_ref().is_ok_and(|o| o.par.template_hits > 0);
+                if !replayed {
+                    telemetry_ref = Some((tel.clone(), trace_sig.clone()));
                 }
-            }
+                baseline = Some((sig, tel, trace_sig));
+                continue;
+            };
+            assert_eq!(
+                s0, &sig,
+                "{}: outcome differs between jobs=1 and jobs={jobs} cache={cache}",
+                case.name
+            );
+            let (tel_ref, trace_ref) = if cache {
+                (tel0, t0)
+            } else {
+                let r = telemetry_ref.get_or_insert_with(|| (tel.clone(), trace_sig.clone()));
+                (&r.0, &r.1)
+            };
+            assert_eq!(
+                tel_ref, &tel,
+                "{}: saturation telemetry differs between jobs=1 and jobs={jobs} cache={cache}",
+                case.name
+            );
+            assert_eq!(
+                trace_ref, &trace_sig,
+                "{}: trace structure differs between jobs=1 and jobs={jobs} cache={cache}",
+                case.name
+            );
         }
     }
 }
@@ -145,9 +175,9 @@ fn table3_bug_localization_is_identical_across_jobs() {
     // their fixed twins (same clean verdict).
     for case in all_bugs(true).into_iter().chain(all_bugs(false)) {
         let mut baseline: Option<(String, String)> = None;
-        for jobs in [1usize, 2, 4] {
+        for (jobs, cache) in CONFIGS {
             let (tracer, sink) = Tracer::collect();
-            let verdict = case.run(&opts_with(jobs, &tracer));
+            let verdict = case.run(&opts_with(jobs, cache, &tracer));
             drop(tracer);
             let sig = match verdict {
                 BugVerdict::Clean => "clean".to_owned(),
@@ -160,12 +190,12 @@ fn table3_bug_localization_is_identical_across_jobs() {
                 Some((s0, t0)) => {
                     assert_eq!(
                         s0, &sig,
-                        "bug {} ({}, buggy={}): verdict differs between jobs=1 and jobs={jobs}",
+                        "bug {} ({}, buggy={}): verdict differs between jobs=1 and jobs={jobs} cache={cache}",
                         case.id, case.name, case.buggy
                     );
                     assert_eq!(
                         t0, &trace_sig,
-                        "bug {} ({}, buggy={}): trace differs between jobs=1 and jobs={jobs}",
+                        "bug {} ({}, buggy={}): trace differs between jobs=1 and jobs={jobs} cache={cache}",
                         case.id, case.name, case.buggy
                     );
                 }

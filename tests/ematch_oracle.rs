@@ -116,8 +116,8 @@ fn outcome_signature(gs: &Graph, result: &Result<CheckOutcome, RefinementError>)
             out.push_str(&o.full_relation.display(gs).to_string());
             for r in &o.op_reports {
                 out.push_str(&format!(
-                    "{} nodes={} mappings={} hinted={} rounds={} stop={:?}\n",
-                    r.name, r.egraph_nodes, r.mappings, r.hinted, r.rounds, r.stop
+                    "{} nodes={} mappings={} rounds={} stop={:?}\n",
+                    r.name, r.egraph_nodes, r.mappings, r.rounds, r.stop
                 ));
             }
             let mut lemmas: Vec<(&str, u64)> = o.lemma_stats.iter().collect();

@@ -8,10 +8,10 @@
 //! shard errors and verify end to end: the analysis may be imprecise
 //! (`unknown` layouts) but never wrong.
 
-use entangle::CheckOptions;
+use entangle::{CheckOptions, ExpectationError, RefinementError};
 use entangle_egraph::RecExpr;
 use entangle_lint::Anchor;
-use entangle_parallel::bugs::{all_bugs, BugCase};
+use entangle_parallel::bugs::{all_bugs, BugCase, BugVerdict};
 use entangle_shard::{analyze_pair, ShardAnalysis};
 
 fn analyze(case: &BugCase) -> ShardAnalysis {
@@ -107,23 +107,78 @@ fn fixed_cases_have_no_false_positives() {
 }
 
 #[test]
-fn buggy_cases_all_detected_with_hints_on_and_off() {
-    // The hint machinery must never *mask* a bug: every Table 3 fault is
-    // detected under both configurations.
+fn buggy_cases_all_detected_with_shard_on_and_off() {
+    // The shard pass must never be the only thing standing between a bug
+    // and a clean verdict: every Table 3 fault is detected both with the
+    // fail-fast pass and by saturation alone.
     for case in all_bugs(true) {
         assert!(
             case.run(&CheckOptions::default()).detected(),
-            "bug {} undetected with shard hints",
+            "bug {} undetected with the shard pass",
             case.id
         );
         let opts = CheckOptions {
-            shard_hints: false,
+            shard: false,
             ..CheckOptions::default()
         };
         assert!(
             case.run(&opts).detected(),
-            "bug {} undetected without shard hints",
+            "bug {} undetected without the shard pass",
             case.id
+        );
+    }
+}
+
+/// Detected/undetected, error kind, and failing operator (or anchored
+/// `G_d` node) of one Table 3 run.
+fn localization(case: &BugCase, verdict: &BugVerdict) -> String {
+    let refinement = |e: &RefinementError| match e {
+        RefinementError::Lint { graph, .. } => format!("lint in {graph}"),
+        RefinementError::ShardViolation { diagnostics, .. } => match diagnostics[0].anchor {
+            Anchor::Node(id) => format!(
+                "shard-violation {} at {}",
+                diagnostics[0].code,
+                case.dist.graph.node(id).name
+            ),
+            _ => format!("shard-violation {}", diagnostics[0].code),
+        },
+        RefinementError::MissingInputMapping { tensor } => {
+            format!("missing-input-mapping {tensor}")
+        }
+        RefinementError::OutputUnmapped { operator, .. } => {
+            format!("output-unmapped at {operator}")
+        }
+        RefinementError::CertRejected { .. } => "cert-rejected".to_owned(),
+        RefinementError::OperatorUnmapped { operator, .. } => {
+            format!("operator-unmapped at {operator}")
+        }
+    };
+    match verdict {
+        BugVerdict::Clean => "clean".to_owned(),
+        BugVerdict::RefinementBug(e) => refinement(e),
+        BugVerdict::ExpectationBug(ExpectationError::Refinement(e)) => refinement(e),
+        BugVerdict::ExpectationBug(ExpectationError::Invalid(e)) => format!("invalid: {e}"),
+        BugVerdict::ExpectationBug(ExpectationError::Violated { .. }) => "violated".to_owned(),
+    }
+}
+
+#[test]
+fn uncertified_runs_localize_like_certified_runs() {
+    // Every mapping comes from saturation whether or not the kernel
+    // re-checks it, so switching certification off must not move any
+    // verdict, error kind, or failing operator.
+    for case in all_bugs(true).into_iter().chain(all_bugs(false)) {
+        let certified = localization(&case, &case.run(&CheckOptions::default()));
+        let uncertified = CheckOptions {
+            certify: false,
+            ..CheckOptions::default()
+        };
+        assert_eq!(
+            certified,
+            localization(&case, &case.run(&uncertified)),
+            "bug {} (buggy={}): certify off changed the verdict",
+            case.id,
+            case.buggy
         );
     }
 }
