@@ -12,6 +12,7 @@ fn bench_egraph(c: &mut Criterion) {
     group.bench_function("egraph_block_matmul_saturation", |b| {
         use entangle_lemmas::{registry, rewrites_of, TensorAnalysis};
         let rewrites = rewrites_of(&registry());
+        let matcher = entangle_egraph::CompiledMatcher::compile(&rewrites);
         b.iter(|| {
             let mut analysis = TensorAnalysis::default();
             for n in ["A1", "A2", "B1", "B2"] {
@@ -25,7 +26,7 @@ fn bench_egraph(c: &mut Criterion) {
             );
             let r = eg.add_expr(&"(add (matmul A1 B1) (matmul A2 B2))".parse().unwrap());
             let mut runner = entangle_egraph::Runner::new(eg).with_iter_limit(8);
-            runner.run(&rewrites);
+            runner.run(&rewrites, &matcher);
             assert_eq!(runner.egraph.find(l), runner.egraph.find(r));
         });
     });

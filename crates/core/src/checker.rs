@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use entangle_cert::{CertError, Certificate, MappingCert};
 use entangle_egraph::{
-    BackoffSchedule, EGraph, ENode, Extractor, Id, Justification, Proof, RecExpr, Rewrite, Runner,
+    BackoffSchedule, CompiledMatcher, EGraph, ENode, Extractor, Id, Proof, RecExpr, Rewrite,
     SaturationReport, StopReason, Symbol,
 };
 use entangle_ir::{Graph, Node, NodeId, TensorId};
@@ -17,8 +17,10 @@ use entangle_par::{with_pool, Renamer, ShardedCache};
 use entangle_symbolic::SymCtx;
 use entangle_trace::{Record, Tracer};
 
-use crate::encode::{clean_cost, encode_node, encode_op, CleanOps};
-use crate::memo::{build_problem, solve_problem, GdConsumers, Solved, TemplateKey};
+use crate::encode::{clean_cost, CleanOps};
+use crate::memo::{
+    build_problem, gd_egraph, solve_problem, whole_gd_problem, GdConsumers, Solved, TemplateKey,
+};
 use crate::relation::Relation;
 
 /// Tuning knobs and ablation switches for [`check_refinement`].
@@ -31,11 +33,16 @@ pub struct CheckOptions {
     pub time_limit: Duration,
     /// The Listing 3 frontier optimization: only pull `G_d` operators whose
     /// inputs are related to the current operator into the e-graph. Turning
-    /// this off reproduces the unoptimized Listing 2 step 3 (ablation).
+    /// this off reproduces the unoptimized Listing 2 step 3 (ablation): each
+    /// operator solves a whole-`G_d` problem, one saturation round with
+    /// every `G_d` operator, in real tensor names, on one thread and
+    /// without the memo.
     pub frontier: bool,
     /// Process each `G_s` operator in a fresh e-graph (the paper's iterative
-    /// design). `false` keeps one monolithic e-graph across operators — the
-    /// whole-graph-saturation ablation.
+    /// design). `false` keeps one monolithic e-graph holding all of `G_d`
+    /// across operators — the whole-graph-saturation ablation; each
+    /// operator then solves the whole-`G_d` problem in that shared e-graph,
+    /// on one thread and without the memo.
     pub fresh_egraph_per_op: bool,
     /// §4.3.2 pruning: how many simplest mappings to keep per tensor.
     pub max_mappings: usize,
@@ -77,10 +84,9 @@ pub struct CheckOptions {
     pub trace: Tracer,
     /// Worker threads for the dependency-aware operator scheduler (the
     /// `--jobs` flag). Defaults to the detected core count; `0` is treated
-    /// as `1`. Parallel scheduling needs the per-operator e-graphs of the
-    /// frontier design, so it only engages when both
+    /// as `1`. Parallel scheduling only engages when both
     /// [`CheckOptions::fresh_egraph_per_op`] and [`CheckOptions::frontier`]
-    /// are on; the ablation modes always run sequentially. Verdicts,
+    /// are on; the ablation modes always run on one thread. Verdicts,
     /// reports, certificates, and trace structure are identical for any
     /// `jobs` (see DESIGN.md's determinism contract).
     pub jobs: usize,
@@ -92,8 +98,8 @@ pub struct CheckOptions {
     /// indistinguishable from a miss. Disabled automatically under symbolic
     /// dimensions or assumptions (the context is part of the problem but
     /// not the key) and in the ablation modes. Off, every operator solves
-    /// its canonical problem afresh: the same engine without reuse
-    /// (`bench_par`'s baseline).
+    /// its problem afresh: the same solver without reuse (`bench_par`'s
+    /// baseline).
     pub cache: bool,
     /// Template-lifted memoization (on by default): the `entangle-iso`
     /// static analysis partitions `G_s` into repeated structure classes
@@ -123,18 +129,6 @@ pub struct CheckOptions {
     /// derived once per check from the active rewrite set. Turn off to
     /// measure the unthrottled engine (`bench_rules`' baseline).
     pub rule_backoff: bool,
-    /// Compiled e-matching (on by default): the saturation engine compiles
-    /// the whole active rule corpus into one shared discrimination-tree
-    /// matcher per run, so a single traversal of the candidate e-nodes
-    /// serves every rule instead of one recursive walk per rule. The
-    /// compiled and legacy searchers yield identical match sets (pinned by
-    /// the differential matcher oracle), so verdicts, relations, and
-    /// certificates never depend on this flag — it exists as an A/B
-    /// ablation (`--no-compiled-matcher`, `bench_ematch`'s baseline). The
-    /// matcher generation participates in the engine fingerprint, so
-    /// flipping it (or revising the matcher) can never replay a stale
-    /// saturation-memo entry.
-    pub compiled_matcher: bool,
     /// Static numeric-soundness analysis (on by default, requires
     /// [`CheckOptions::certify`]): after the trusted kernel accepts the
     /// certificate, `entangle-num` classifies every proof step as
@@ -176,7 +170,6 @@ impl Default for CheckOptions {
             cache: true,
             templates: true,
             rule_backoff: true,
-            compiled_matcher: true,
             numeric: true,
             metrics: entangle_metrics::Registry::null(),
         }
@@ -579,6 +572,21 @@ impl fmt::Display for RefinementError {
 
 impl std::error::Error for RefinementError {}
 
+impl RefinementError {
+    /// The variant's stable kebab-case name: the `check_refinement` trace
+    /// span's `outcome` attribute and the ledger's `failed:<kind>` verdict.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            RefinementError::Lint { .. } => "lint",
+            RefinementError::ShardViolation { .. } => "shard-violation",
+            RefinementError::MissingInputMapping { .. } => "missing-input-mapping",
+            RefinementError::OutputUnmapped { .. } => "output-unmapped",
+            RefinementError::CertRejected { .. } => "cert-rejected",
+            RefinementError::OperatorUnmapped { .. } => "operator-unmapped",
+        }
+    }
+}
+
 /// Runs the `entangle-lint` static pre-pass over `G_s` and `G_d`.
 ///
 /// Returns `Err(RefinementError::Lint)` for the first graph with
@@ -630,21 +638,9 @@ pub fn check_refinement(
             root.attr("operators", outcome.op_reports.len());
             root.attr("saturation_runs", outcome.saturation.runs());
         }
-        Err(e) => root.attr("outcome", error_kind(e)),
+        Err(e) => root.attr("outcome", e.kind()),
     }
     result
-}
-
-/// The stable trace-attribute name of a [`RefinementError`] variant.
-fn error_kind(e: &RefinementError) -> &'static str {
-    match e {
-        RefinementError::Lint { .. } => "lint",
-        RefinementError::ShardViolation { .. } => "shard-violation",
-        RefinementError::MissingInputMapping { .. } => "missing-input-mapping",
-        RefinementError::OutputUnmapped { .. } => "output-unmapped",
-        RefinementError::CertRejected { .. } => "cert-rejected",
-        RefinementError::OperatorUnmapped { .. } => "operator-unmapped",
-    }
 }
 
 fn check_refinement_inner(
@@ -714,6 +710,9 @@ fn check_refinement_inner(
         None
     };
     entangle_rules::record_backoff_metrics(backoff.as_ref(), metrics);
+    // The whole corpus compiled into one shared discrimination tree, once
+    // per check, for every saturation run to search with.
+    let matcher = CompiledMatcher::compile(&rewrites);
 
     let mut certificate = opts.certify.then(|| Certificate {
         gs: gs.name().to_owned(),
@@ -738,17 +737,14 @@ fn check_refinement_inner(
         .map(|&t| gd.tensor(t).name.as_str())
         .collect();
 
-    // Engine selection. Worker threads and the canonical engine need
-    // per-operator e-graphs and the frontier rule, so the ablation modes run
-    // the same scheduler on one thread with the direct engine. The canonical
-    // engine additionally requires a concrete symbolic context (SymCtx is
-    // part of every problem but not of the memo key); `cache` then only
-    // decides whether solved problems are kept for reuse.
-    let can_schedule = opts.fresh_egraph_per_op && opts.frontier;
-    let canonical =
-        can_schedule && opts.sym_ctx.num_vars() == 0 && opts.sym_ctx.num_assumptions() == 0;
-    let use_cache = opts.cache && canonical;
-    let jobs = if can_schedule { opts.jobs.max(1) } else { 1 };
+    // The ablation modes solve whole-G_d problems on one thread. The memo
+    // additionally requires a concrete symbolic context (SymCtx is part of
+    // every problem but not of the memo key); `cache` then decides whether
+    // solved problems are kept for reuse.
+    let per_op = opts.fresh_egraph_per_op && opts.frontier;
+    let use_cache =
+        opts.cache && per_op && opts.sym_ctx.num_vars() == 0 && opts.sym_ctx.num_assumptions() == 0;
+    let jobs = if per_op { opts.jobs.max(1) } else { 1 };
     let cache: Option<ShardedCache<Solved>> = use_cache.then(|| {
         ShardedCache::with_counters(
             16,
@@ -756,11 +752,6 @@ fn check_refinement_inner(
             metrics.counter("par.cache.misses"),
         )
     });
-    let cfg_fp = if use_cache {
-        engine_fingerprint(opts, &rewrites)
-    } else {
-        String::new()
-    };
     // Static template analysis: with the memo on, the `entangle-iso`
     // partition lifts the cache from per-operator to per-template keys —
     // each repeated-structure class solves its representative once, and
@@ -777,10 +768,7 @@ fn check_refinement_inner(
     // Monolithic (ablation) mode: one shared e-graph with all of G_d.
     let shared = (!opts.fresh_egraph_per_op).then(|| {
         let mut sp = tracer.span("encode:gd");
-        let mut eg = fresh_egraph(gd, opts);
-        for node in gd.nodes() {
-            encode_node(&mut eg, gd, node);
-        }
+        let eg = gd_egraph(gd, &opts.sym_ctx);
         sp.attr("nodes", eg.total_nodes());
         Mutex::new(eg)
     });
@@ -792,10 +780,9 @@ fn check_refinement_inner(
         gd,
         opts,
         rewrites: &rewrites,
+        matcher: &matcher,
         nodes: gs.nodes().iter().collect(),
-        canonical,
         cache: cache.as_ref(),
-        cfg_fp,
         backoff: backoff.as_ref(),
         templates: templates.as_ref(),
         consumers: GdConsumers::new(gd),
@@ -975,31 +962,24 @@ fn check_refinement_inner(
     })
 }
 
-/// The engine-configuration half of the memo key: everything other than the
-/// canonical problem that can change what [`solve_problem`] computes —
-/// saturation limits, pruning width, certification, the clean-operator set,
-/// and a fingerprint of the lemma corpus (name, searcher, right-hand side —
-/// `~dyn` for programmatic appliers — and conditionality per rewrite).
+/// The engine-configuration half of [`problem_fingerprint`]: everything
+/// other than the graphs and the input relation that can change what the
+/// solver computes — saturation limits, pruning width, certification, the
+/// clean-operator set, and a fingerprint of the lemma corpus (name,
+/// searcher, right-hand side — `~dyn` for programmatic appliers — and
+/// conditionality per rewrite).
 fn engine_fingerprint(opts: &CheckOptions, rewrites: &[Rewrite<TensorAnalysis>]) -> String {
     use std::fmt::Write;
     let mut fp = String::with_capacity(64 * rewrites.len());
     let _ = write!(
         fp,
-        "|cfg:iters={},nodes={},time_us={},max={},certify={},backoff={},compiled={},clean={:?};lemmas:",
+        "|cfg:iters={},nodes={},time_us={},max={},certify={},backoff={},clean={:?};lemmas:",
         opts.iter_limit,
         opts.node_limit,
         opts.time_limit.as_micros(),
         opts.max_mappings,
         opts.certify,
         opts.rule_backoff,
-        // The matcher *generation* (not just on/off) keys the memo: a
-        // revised compilation strategy must never replay entries produced
-        // by an older one.
-        if opts.compiled_matcher {
-            format!("g{}", entangle_egraph::MATCHER_GENERATION)
-        } else {
-            "off".to_owned()
-        },
         opts.clean,
     );
     for rw in rewrites {
@@ -1090,14 +1070,6 @@ fn shard_pass(gs: &Graph, gd: &Graph, ri: &Relation) -> Result<(), RefinementErr
     })
 }
 
-fn fresh_egraph(gd: &Graph, opts: &CheckOptions) -> EGraph<TensorAnalysis> {
-    let mut analysis = TensorAnalysis::with_ctx(opts.sym_ctx.clone());
-    for t in gd.tensors() {
-        analysis.register_leaf(&t.name, t.shape.clone(), t.dtype);
-    }
-    EGraph::with_analysis(analysis)
-}
-
 // ---------------------------------------------------------------------------
 // The dependency-aware operator scheduler (entangle-par).
 //
@@ -1180,21 +1152,20 @@ struct MapCtx<'a> {
     gd: &'a Graph,
     opts: &'a CheckOptions,
     rewrites: &'a [Rewrite<TensorAnalysis>],
+    /// `rewrites` compiled once for every saturation run of the check.
+    matcher: &'a CompiledMatcher,
     nodes: Vec<&'a Node>,
-    /// Solve operators as canonical problems (`build_problem` /
-    /// `solve_problem`); `false` runs the direct engine.
-    canonical: bool,
     /// The saturation memo over canonical problems (`None` when off).
     cache: Option<&'a ShardedCache<Solved>>,
-    cfg_fp: String,
     backoff: Option<&'a BackoffSchedule>,
     templates: Option<&'a TemplateInfo>,
     /// Consumer index over `G_d`, built once and shared by every
     /// `build_problem` frontier closure.
     consumers: GdConsumers,
-    /// The monolithic ablation's one e-graph holding all of `G_d`, reused by
-    /// every operator (`None` with [`CheckOptions::fresh_egraph_per_op`]).
-    /// That mode always runs with one job, so the lock is never contended.
+    /// The monolithic ablation's one e-graph holding all of `G_d`, which
+    /// every operator solves in (`None` with
+    /// [`CheckOptions::fresh_egraph_per_op`]). That mode always runs with
+    /// one job, so the lock is never contended.
     shared: Option<Mutex<EGraph<TensorAnalysis>>>,
 }
 
@@ -1454,12 +1425,12 @@ fn instantiate_template(
 }
 
 /// Solves one operator on the current thread. `per_input` is the snapshot
-/// of its inputs' final mappings (operator order). The canonical engine
-/// solves a name-canonicalized problem (through the memo when one is on);
-/// the direct engine — ablation modes and symbolic contexts — runs the
-/// classic per-operator search against a private or the shared e-graph.
-/// Either way the operator's spans go to a buffering sub-tracer for
-/// in-order replay.
+/// of its inputs' final mappings (operator order). The operator poses its
+/// problem — the canonical frontier problem ([`build_problem`]) or, in the
+/// ablation modes, the whole-`G_d` one ([`whole_gd_problem`]) — and solves
+/// it through the memo when one is on, in a fresh e-graph or the monolithic
+/// ablation's shared one. The operator's spans go to a buffering
+/// sub-tracer for in-order replay.
 fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>], traced: bool) -> OpResult {
     let start = Instant::now();
     let node = ctx.nodes[idx];
@@ -1477,14 +1448,18 @@ fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>], traced: bool) ->
 
     let outcome: Result<OpSuccess, OpFail> = if per_input.iter().any(|m| m.is_empty()) {
         Err(OpFail { stop: None })
-    } else if ctx.canonical {
-        let (problem, back) = build_problem(ctx.gs, ctx.gd, node, per_input, &ctx.consumers);
+    } else {
+        let (problem, back) = if ctx.opts.frontier && ctx.opts.fresh_egraph_per_op {
+            build_problem(ctx.gs, ctx.gd, node, per_input, &ctx.consumers)
+        } else {
+            whole_gd_problem(ctx.gs, ctx.gd, node, per_input)
+        };
         // Template lift: a node in a repeated class additionally gets a
         // per-template key with slice bounds abstracted to placeholders and
         // frontier-definition names structure-normalized.
         let tpl = ctx.templates.and_then(|t| {
             let (class, rep) = t.class_rep[idx]?;
-            let tk = problem.template_key(&ctx.cfg_fp, class)?;
+            let tk = problem.template_key(class)?;
             Some((t, rep, tk))
         });
         // Mappings instantiated from the representative's certificate, in
@@ -1507,11 +1482,24 @@ fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>], traced: bool) ->
             }
             _ => None,
         };
-        let solve = || solve_problem(&problem, ctx.opts, ctx.rewrites, ctx.backoff);
+        let solve_in = |eg: &mut EGraph<TensorAnalysis>| {
+            solve_problem(
+                &problem,
+                eg,
+                ctx.opts,
+                ctx.rewrites,
+                ctx.matcher,
+                ctx.backoff,
+            )
+        };
+        let solve = || match &ctx.shared {
+            Some(shared) => solve_in(&mut shared.lock().expect("shared e-graph lock")),
+            None => solve_in(&mut problem.egraph(&ctx.opts.sym_ctx)),
+        };
         let solved = match (from_template, ctx.cache) {
             (Some(solved), _) => solved,
             (None, Some(cache)) => {
-                let key = problem.key(&ctx.cfg_fp);
+                let key = problem.key();
                 match cache.get(&key) {
                     Some(v) => v,
                     None => cache.insert(key, solve()),
@@ -1575,58 +1563,6 @@ fn run_op(ctx: &MapCtx, idx: usize, per_input: &[Vec<RecExpr>], traced: bool) ->
                 stop: solved.stop,
                 egraph_nodes: solved.egraph_nodes,
             })
-        }
-    } else {
-        // Direct engine: the classic search against a private e-graph (or
-        // the monolithic ablation's shared one), with the inputs' mappings
-        // staged in a local relation slice.
-        let mut local = Relation::new();
-        for (&t, exprs) in node.inputs.iter().zip(per_input) {
-            for e in exprs {
-                local.insert(t, e.clone());
-            }
-        }
-        let mut fresh;
-        let mut guard;
-        let eg = match &ctx.shared {
-            Some(shared) => {
-                guard = shared.lock().expect("shared e-graph lock");
-                &mut *guard
-            }
-            None => {
-                fresh = fresh_egraph(ctx.gd, ctx.opts);
-                &mut fresh
-            }
-        };
-        // The shared e-graph already holds all of G_d: no frontier to grow.
-        let frontier = ctx.opts.frontier && ctx.shared.is_none();
-        match node_out_rel(
-            ctx.gs,
-            ctx.gd,
-            node,
-            &local,
-            ctx.opts,
-            ctx.rewrites,
-            &mut stats,
-            &mut summary,
-            eg,
-            frontier,
-            ctx.backoff,
-            &tracer,
-        ) {
-            Ok(search) => Ok(OpSuccess {
-                mappings: search.mappings,
-                rounds: search.rounds,
-                stop: search.stop,
-                egraph_nodes: eg.total_nodes(),
-            }),
-            Err(e) => {
-                let stop = match &e {
-                    RefinementError::OperatorUnmapped { stop, .. } => *stop,
-                    _ => None,
-                };
-                Err(OpFail { stop })
-            }
         }
     };
     drop(osp);
@@ -1934,274 +1870,20 @@ fn map_stage_scheduled(
     })
 }
 
-/// What one operator's mapping search produced (alongside the lemma stats
-/// and saturation telemetry accumulated through the `&mut` params).
-struct NodeSearch {
-    /// Clean mappings with their optional proofs.
-    mappings: Vec<(RecExpr, Option<Proof>)>,
-    /// Frontier rounds (saturation runs) spent.
-    rounds: usize,
-    /// `Saturated` when every round ran the rules dry, otherwise the limit
-    /// the last cut-short round hit.
-    stop: Option<StopReason>,
-}
-
-/// Computes the clean output relation for one `G_s` operator (Listing 2,
-/// with the Listing 3 frontier when `frontier` is true).
-///
-/// Each returned mapping is paired with the rewrite [`Proof`] connecting it
-/// to the operator's encoded base term when [`CheckOptions::certify`] is on
-/// (`None` otherwise, and in the never-observed case where the explanation
-/// machinery finds no path — the caller turns that into a rejection).
-#[allow(clippy::too_many_arguments)]
-fn node_out_rel(
-    gs: &Graph,
-    gd: &Graph,
-    node: &Node,
-    relation: &Relation,
-    opts: &CheckOptions,
-    rewrites: &[Rewrite<TensorAnalysis>],
-    stats: &mut LemmaStats,
-    summary: &mut SaturationSummary,
-    eg: &mut EGraph<TensorAnalysis>,
-    frontier: bool,
-    backoff: Option<&BackoffSchedule>,
-    tracer: &Tracer,
-) -> Result<NodeSearch, RefinementError> {
-    let fail = |relation: &Relation, stop: Option<StopReason>| RefinementError::OperatorUnmapped {
-        operator: node.name.clone(),
-        op: node.op.name().to_owned(),
-        node: node.id,
-        input_mappings: node
-            .inputs
-            .iter()
-            .map(|&t| {
-                (
-                    gs.tensor(t).name.clone(),
-                    relation
-                        .mappings(t)
-                        .map(|ms| ms.iter().map(|m| m.to_string()).collect())
-                        .unwrap_or_default(),
-                )
-            })
-            .collect(),
-        stop,
-    };
-
-    // Step 1: express the operator's output over G_d tensors by substituting
-    // the relation's mappings for each input (rewrite_t_to_expr). Every
-    // mapping of one tensor denotes that tensor, so all of an input's
-    // expressions are unioned into one class before the operator is applied
-    // — the e-graph-native form of "return all rewritings".
-    let per_input: Vec<&[RecExpr]> = node
-        .inputs
-        .iter()
-        .map(|&t| relation.mappings(t).unwrap_or(&[]))
-        .collect();
-    if per_input.iter().any(|m| m.is_empty()) {
-        return Err(fail(relation, None));
-    }
-    let mut encode_span = tracer.span("encode");
-    let mut input_ids: Vec<Id> = Vec::with_capacity(per_input.len());
-    for (&t, exprs) in node.inputs.iter().zip(&per_input) {
-        // The *first* mapping's id stays the representative (it is
-        // term-faithful, and the certificate records the first mappings as
-        // the operator's inputs); later mappings are unioned into it under
-        // a fact the trusted kernel can re-check against the accepted set.
-        let mut rep: Option<Id> = None;
-        for e in *exprs {
-            let id = eg.add_expr(e);
-            match rep {
-                None => rep = Some(id),
-                Some(first) => {
-                    eg.union_with(
-                        first,
-                        id,
-                        Justification::Given(format!(
-                            "mappings of G_s tensor {}",
-                            gs.tensor(t).name
-                        )),
-                    );
-                }
-            }
-        }
-        input_ids.push(rep.expect("non-empty mapping list"));
-    }
-    let base = encode_op(eg, &node.op, &input_ids);
-    eg.rebuild();
-    encode_span.attr("nodes", eg.total_nodes());
-    drop(encode_span);
-
-    // Steps 2–3: saturate with lemmas while growing the frontier of G_d
-    // operators whose inputs relate to this operator (Listing 3), or with
-    // everything at once when the optimization is disabled.
-    let name_to_tensor: HashMap<&str, TensorId> = gd
-        .tensors()
-        .iter()
-        .map(|t| (t.name.as_str(), t.id))
-        .collect();
-    let mut t_rel: HashSet<TensorId> = HashSet::new();
-    for exprs in &per_input {
-        for e in *exprs {
-            for sym in e.leaf_symbols() {
-                if let Some(&t) = name_to_tensor.get(sym.as_str()) {
-                    t_rel.insert(t);
-                }
-            }
-        }
-    }
-    let mut defs_added: HashSet<NodeId> = HashSet::new();
-    if !frontier {
-        // The e-graph either already holds all of G_d (monolithic mode) or
-        // gets it here (fresh graph, frontier ablation). encode_node is
-        // idempotent thanks to hash-consing, so re-encoding is harmless.
-        for n in gd.nodes() {
-            encode_node(eg, gd, n);
-            defs_added.insert(n.id);
-        }
-    }
-
-    // Frontier iteration (Listing 3): repeatedly pull in G_d operators all
-    // of whose inputs are related to this operator, saturate, and extend the
-    // related set with the newly computable outputs. Operators consuming
-    // tensors *not* related to v (e.g. the E-branch of Figure 2, or the
-    // next layer's weights) are never encoded — the size win the paper's
-    // optimization is after.
-    let mut first_round = true;
-    let mut rounds = 0usize;
-    let mut stop: Option<StopReason> = None;
-    loop {
-        let mut added_any = false;
-        if frontier {
-            for n in gd.nodes() {
-                if defs_added.contains(&n.id) {
-                    continue;
-                }
-                if n.inputs.iter().all(|t| t_rel.contains(t)) {
-                    encode_node(eg, gd, n);
-                    defs_added.insert(n.id);
-                    t_rel.insert(n.output);
-                    added_any = true;
-                }
-            }
-        }
-        if !added_any && !first_round {
-            break;
-        }
-        first_round = false;
-        eg.rebuild();
-
-        rounds += 1;
-        let mut sat_span = tracer.span("saturate");
-        let run_start_us = tracer.now_us();
-        let owned = std::mem::replace(eg, EGraph::with_analysis(TensorAnalysis::default()));
-        let mut runner = Runner::new(owned)
-            .with_iter_limit(opts.iter_limit)
-            .with_node_limit(opts.node_limit)
-            .with_time_limit(opts.time_limit)
-            .with_backoff(backoff.cloned())
-            .with_compiled_matcher(opts.compiled_matcher)
-            .with_metrics(opts.metrics.clone());
-        let report = runner.run(rewrites);
-        *eg = runner.egraph;
-        stats.merge(&report.applications);
-        summary.record(&report);
-        // A limit on any round means this operator's search was cut short;
-        // only an all-rounds-saturated operator failure is a proven bug.
-        if report.stop_reason.is_limit() || stop.is_none() {
-            stop = Some(report.stop_reason);
-        }
-        if tracer.is_enabled() {
-            sat_span.attr("round", rounds);
-            sat_span.attr("stop", report.stop_reason);
-            sat_span.attr("iterations", report.iterations);
-            sat_span.attr("nodes", report.egraph_nodes);
-            sat_span.attr("classes", report.egraph_classes);
-            for it in &report.saturation.iterations {
-                tracer.event_at(
-                    "iteration",
-                    run_start_us + it.start_us,
-                    Some(it.search_us + it.apply_us + it.rebuild_us),
-                    &[
-                        ("nodes", it.nodes.to_string()),
-                        ("classes", it.classes.to_string()),
-                        ("memo", it.memo.to_string()),
-                        ("unions", it.unions.to_string()),
-                        ("search_us", it.search_us.to_string()),
-                        ("apply_us", it.apply_us.to_string()),
-                        ("rebuild_us", it.rebuild_us.to_string()),
-                    ],
-                );
-            }
-        }
-    }
-
-    // Step 4: extract the clean expressions in the output's class,
-    // preferring G_d output leaves on ties (Listing 1 line 9 only keeps
-    // output-leaf mappings for G_s outputs).
-    let gd_outputs: HashSet<&str> = gd
-        .outputs()
-        .iter()
-        .map(|&t| gd.tensor(t).name.as_str())
-        .collect();
-    let mut extract_span = tracer.span("extract");
-    let variants = extract_clean_variants(eg, base, &opts.clean, &gd_outputs, opts.max_mappings);
-    extract_span.attr("variants", variants.len());
-    if variants.is_empty() {
-        extract_span.attr("outcome", "unmapped");
-        return Err(fail(relation, stop));
-    }
-    if !opts.certify {
-        return Ok(NodeSearch {
-            mappings: variants.into_iter().map(|e| (e, None)).collect(),
-            rounds,
-            stop,
-        });
-    }
-    // Proof extraction: re-adding a variant yields its term-faithful id, and
-    // the explanation forest connects it to the encoded base term.
-    Ok(NodeSearch {
-        mappings: variants
-            .into_iter()
-            .map(|expr| {
-                let vid = eg.add_expr(&expr);
-                let proof = eg.explain_equivalence(base, vid);
-                (expr, proof)
-            })
-            .collect(),
-        rounds,
-        stop,
-    })
-}
-
 /// Extracts up to `max` distinct clean expressions from a class, simplest
 /// first (the §4.3.2 "simplest representative" pruning, but keeping a few
 /// alternates — the paper returns e.g. both `sum(C1, C2)` and
-/// `concat(D1, D2)` for Figure 2's `C`).
-fn extract_clean_variants(
-    eg: &EGraph<TensorAnalysis>,
-    class: Id,
-    clean: &CleanOps,
-    prefer: &HashSet<&str>,
-    max: usize,
-) -> Vec<RecExpr> {
-    extract_clean_variants_with_cost(eg, class, clean, prefer, max, &|_| 0.0)
-        .into_iter()
-        .map(|(_, e)| e)
-        .collect()
-}
-
-/// [`extract_clean_variants`] keeping each variant's extraction cost — the
-/// saturation memo stores costs so a cache hit can re-sort the renamed
+/// `concat(D1, D2)` for Figure 2's `C`), each with its extraction cost —
+/// the saturation memo stores costs so a cache hit can re-sort the renamed
 /// variants exactly as a concrete solve would have.
 ///
-/// `leaf_bias` adds a per-leaf cost on top of [`clean_cost`]. The direct
-/// engine passes zero; the canonical engine passes a tiny
-/// first-occurrence-index bias so extraction ties between equal-cost leaves
-/// (e.g. a scale-half/scale-double chain collapsing several tensors into
-/// one class) break toward the most *upstream* leaf by construction instead
-/// of by tensor-name string order — which canonical renaming would
-/// otherwise scramble, starving downstream frontiers of producer tensors.
+/// `leaf_bias` adds a per-leaf cost on top of [`clean_cost`]. Canonical
+/// problems pass a tiny first-occurrence-index bias so extraction ties
+/// between equal-cost leaves (e.g. a scale-half/scale-double chain
+/// collapsing several tensors into one class) break toward the most
+/// *upstream* leaf by construction instead of by tensor-name string order —
+/// which canonical renaming would otherwise scramble, starving downstream
+/// frontiers of producer tensors. Real-named problems get no bias.
 pub(crate) fn extract_clean_variants_with_cost(
     eg: &EGraph<TensorAnalysis>,
     class: Id,

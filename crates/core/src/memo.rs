@@ -1,4 +1,6 @@
-//! Canonical per-operator problems for the cross-operator saturation memo.
+//! Per-operator mapping problems and the one solver every check runs
+//! ([`solve_problem`]), with canonical problems for the cross-operator
+//! saturation memo.
 //!
 //! Distributed ML graphs are towers of structurally identical blocks: every
 //! transformer layer, every MoE expert re-poses the *same* per-operator
@@ -17,33 +19,38 @@
 //! then frontier-closure definition outputs in discovery order. Isomorphic
 //! subproblems therefore canonicalize identically even when their real
 //! tensors interleave differently in `G_d`.
+//!
+//! The ablation modes pose a whole-`G_d` problem instead
+//! ([`whole_gd_problem`]): real names, no frontier, never memoized.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use entangle_egraph::{
-    BackoffSchedule, EGraph, ENode, Id, Justification, Proof, RecExpr, Rewrite, RunReport, Runner,
-    StopReason, Symbol,
+    BackoffSchedule, CompiledMatcher, EGraph, ENode, Id, Justification, Proof, RecExpr, Rewrite,
+    RunReport, Runner, StopReason, Symbol,
 };
 use entangle_ir::{DType, Graph, Node, Op, Shape, TensorId};
 use entangle_lemmas::TensorAnalysis;
 use entangle_par::Renamer;
+use entangle_symbolic::SymCtx;
 
 use crate::checker::{extract_clean_variants_with_cost, CheckOptions};
-use crate::encode::{encode_def, encode_op};
+use crate::encode::{encode_def, encode_node, encode_op};
 
-/// One `G_d` operator definition pulled into the frontier, in canonical
-/// names.
+/// One `G_d` operator definition pulled into a problem, in the problem's
+/// names (canonical, or real for the whole-`G_d` problem).
 #[derive(Debug)]
 pub(crate) struct CanonDef {
-    /// Canonical node name (`$n{j}`) — only used in the `Given` fact string.
+    /// Node name (`$n{j}` when canonical) — only used in the `Given` fact
+    /// string.
     pub name: String,
     pub op: Op,
     pub inputs: Vec<String>,
     pub output: String,
 }
 
-/// One canonical tensor leaf (`$t{i}`) with the analysis data the engine
-/// needs (shape/dtype drive conditional lemmas and synthetic-leaf folding).
+/// One tensor leaf (`$t{i}` when canonical) with the analysis data the
+/// solver needs (shape/dtype drive conditional lemmas and synthetic-leaf folding).
 #[derive(Debug)]
 pub(crate) struct CanonLeaf {
     pub name: String,
@@ -55,21 +62,22 @@ pub(crate) struct CanonLeaf {
     pub prefer: bool,
 }
 
-/// A naming-independent per-operator mapping problem: everything
-/// [`solve_problem`] reads. Two operators with equal problems (and equal
-/// engine configuration) have byte-identical solutions.
+/// A per-operator mapping problem: everything [`solve_problem`] reads.
+/// [`build_problem`] poses it in canonical names, so two operators with
+/// equal problems have byte-identical solutions; [`whole_gd_problem`] poses
+/// the ablation modes' problem in real names.
 #[derive(Debug)]
 pub(crate) struct OpProblem {
     pub op: Op,
-    /// Per `G_s` input, in operator order: the canonical input name
-    /// (`$i{k}`, used only in the union fact string) and the canonicalized
-    /// clean mappings.
+    /// Per `G_s` input, in operator order: the input name (`$i{k}` when
+    /// canonical, used only in the union fact string) and its clean
+    /// mappings.
     pub inputs: Vec<(String, Vec<RecExpr>)>,
-    /// The frontier closure, round by round, exactly as the sequential
-    /// engine would discover it (round 1 may be empty — it still saturates
-    /// the base term once).
+    /// The `G_d` definitions to pull in, round by round, with a saturation
+    /// run per round (round 1 may be empty — it still saturates the base
+    /// term once).
     pub def_rounds: Vec<Vec<CanonDef>>,
-    /// Canonical leaves in `$t` index order.
+    /// The leaves (canonical ones in `$t` index order).
     pub leaves: Vec<CanonLeaf>,
 }
 
@@ -146,11 +154,10 @@ impl GdConsumers {
 /// current mappings (`per_input`, in operator order), plus the
 /// canonical→real [`Renamer`] that replays a solution.
 ///
-/// The frontier closure is *simulated* here — same rule, same round
-/// structure as `node_out_rel` — rather than discovered during saturation:
-/// the set of reachable `G_d` definitions depends only on the input
-/// mappings' leaves and the graph, never on what saturation derives, so the
-/// closure is a pure function of the problem.
+/// The Listing 3 frontier closure is computed here rather than discovered
+/// during saturation: the set of reachable `G_d` definitions depends only
+/// on the input mappings' leaves and the graph, never on what saturation
+/// derives, so the closure is a pure function of the problem.
 pub(crate) fn build_problem(
     gs: &Graph,
     gd: &Graph,
@@ -191,11 +198,12 @@ pub(crate) fn build_problem(
         inputs.push((cin, exprs.iter().map(|e| cz.fwd.rename_expr(e)).collect()));
     }
 
-    // Frontier closure with the exact round structure of the sequential
-    // engine's full-graph scan, driven by the consumer worklist instead: a
-    // node re-enters the *current* round only when an input became related
-    // at a smaller scan position (the in-order scan would still reach it),
-    // otherwise the next round. The first round runs even when empty.
+    // Frontier closure with the round structure of an in-order scan of
+    // G_d per round (pull in every node whose inputs are all related),
+    // driven by the consumer worklist instead: a node re-enters the
+    // *current* round only when an input became related at a smaller scan
+    // position (the in-order scan would still reach it), otherwise the next
+    // round. The first round runs even when empty.
     let mut defs_added: HashSet<u32> = HashSet::new();
     let mut def_rounds: Vec<Vec<CanonDef>> = Vec::new();
     let mut def_counter = 0usize;
@@ -260,13 +268,88 @@ pub(crate) fn build_problem(
     )
 }
 
+/// The problem of the two ablation modes (no frontier, or one monolithic
+/// e-graph): one round that pulls in every `G_d` operator, posed in real
+/// tensor names. The returned [`Renamer`] is the identity.
+pub(crate) fn whole_gd_problem(
+    gs: &Graph,
+    gd: &Graph,
+    node: &Node,
+    per_input: &[Vec<RecExpr>],
+) -> (OpProblem, Renamer) {
+    let name = |t: TensorId| gd.tensor(t).name.clone();
+    let defs = gd
+        .nodes()
+        .iter()
+        .map(|n| CanonDef {
+            name: n.name.clone(),
+            op: n.op.clone(),
+            inputs: n.inputs.iter().map(|&t| name(t)).collect(),
+            output: name(n.output),
+        })
+        .collect();
+    let inputs = node
+        .inputs
+        .iter()
+        .zip(per_input)
+        .map(|(&t, exprs)| (gs.tensor(t).name.clone(), exprs.clone()))
+        .collect();
+    (
+        OpProblem {
+            op: node.op.clone(),
+            inputs,
+            def_rounds: vec![defs],
+            leaves: gd_leaves(gd),
+        },
+        Renamer::new(),
+    )
+}
+
+/// Every `G_d` tensor as a leaf, in real names.
+fn gd_leaves(gd: &Graph) -> Vec<CanonLeaf> {
+    let outputs: HashSet<TensorId> = gd.outputs().iter().copied().collect();
+    gd.tensors()
+        .iter()
+        .map(|t| CanonLeaf {
+            name: t.name.clone(),
+            shape: t.shape.clone(),
+            dtype: t.dtype,
+            prefer: outputs.contains(&t.id),
+        })
+        .collect()
+}
+
+/// An empty e-graph whose analysis knows `leaves`' shapes and dtypes.
+fn leaf_egraph(leaves: &[CanonLeaf], sym_ctx: &SymCtx) -> EGraph<TensorAnalysis> {
+    let mut analysis = TensorAnalysis::with_ctx(sym_ctx.clone());
+    for l in leaves {
+        analysis.register_leaf(&l.name, l.shape.clone(), l.dtype);
+    }
+    EGraph::with_analysis(analysis)
+}
+
+/// The monolithic ablation's one e-graph, shared by every operator: all of
+/// `G_d` encoded up front.
+pub(crate) fn gd_egraph(gd: &Graph, sym_ctx: &SymCtx) -> EGraph<TensorAnalysis> {
+    let mut eg = leaf_egraph(&gd_leaves(gd), sym_ctx);
+    for n in gd.nodes() {
+        encode_node(&mut eg, gd, n);
+    }
+    eg
+}
+
 impl OpProblem {
-    /// The cache key: the problem rendered canonically, plus the engine
-    /// configuration fingerprint (`cfg` — limits, clean set, lemma corpus)
-    /// computed once per check.
-    pub(crate) fn key(&self, cfg: &str) -> String {
+    /// A fresh e-graph to solve this problem in.
+    pub(crate) fn egraph(&self, sym_ctx: &SymCtx) -> EGraph<TensorAnalysis> {
+        leaf_egraph(&self.leaves, sym_ctx)
+    }
+
+    /// The cache key: the problem rendered canonically. The engine
+    /// configuration is not part of it — the memo lives for one check, so
+    /// every key shares that check's [`CheckOptions`] and lemma corpus.
+    pub(crate) fn key(&self) -> String {
         use std::fmt::Write;
-        let mut k = String::with_capacity(256 + cfg.len());
+        let mut k = String::with_capacity(256);
         let _ = write!(k, "op={:?};", self.op);
         for (name, exprs) in &self.inputs {
             let _ = write!(k, "in {name}:");
@@ -284,7 +367,6 @@ impl OpProblem {
         for l in &self.leaves {
             let _ = write!(k, "leaf {}:{}:{:?}:{};", l.name, l.shape, l.dtype, l.prefer);
         }
-        k.push_str(cfg);
         k
     }
 
@@ -314,10 +396,10 @@ impl OpProblem {
     ///
     /// Returns `None` when a closure round cannot be topologically ordered
     /// (never happens for frontier output — defensive only).
-    pub(crate) fn template_key(&self, cfg: &str, class: usize) -> Option<TemplateKey> {
+    pub(crate) fn template_key(&self, class: usize) -> Option<TemplateKey> {
         use std::fmt::Write;
         let mut bounds = Vec::new();
-        let mut key = String::with_capacity(512 + cfg.len());
+        let mut key = String::with_capacity(512);
         let _ = write!(key, "class={class};op=");
         abstract_op(&mut key, &self.op, &mut bounds);
         key.push(';');
@@ -445,7 +527,6 @@ impl OpProblem {
                 norm[out], l.shape, l.dtype, l.prefer
             );
         }
-        key.push_str(cfg);
         Some(TemplateKey {
             key,
             bounds,
@@ -517,9 +598,10 @@ fn abstract_expr(out: &mut String, e: &RecExpr, at: Id, bound_pos: bool, bounds:
     }
 }
 
-/// A solved canonical problem — everything an operator's merge step needs,
-/// expressed in canonical names. Stored once per key in the sharded cache
-/// and replayed (renamed back) by every structurally identical operator.
+/// A solved problem — everything an operator's merge step needs, expressed
+/// in the problem's names. A canonical one is stored once per key in the
+/// sharded cache and replayed (renamed back) by every structurally
+/// identical operator.
 #[derive(Debug)]
 pub(crate) struct Solved {
     /// Clean variants with extraction cost and (when certifying) the proof
@@ -530,8 +612,7 @@ pub(crate) struct Solved {
     pub rounds: usize,
     /// Limit-sticky stop reason across rounds.
     pub stop: Option<StopReason>,
-    /// E-graph size after extraction and proof generation (matches the
-    /// direct engine's measurement point).
+    /// E-graph size after extraction and proof generation.
     pub egraph_nodes: usize,
     /// E-graph size right after base-term encoding (the `encode` span
     /// attribute).
@@ -541,25 +622,24 @@ pub(crate) struct Solved {
     pub run_reports: Vec<RunReport>,
 }
 
-/// Solves a canonical problem from scratch: encode the base term, pull in
-/// the pre-computed closure round by round with a saturation run per round,
-/// then extract (and, when certifying, prove) the clean variants.
+/// Solves a problem in `eg`: encode the base term, pull in the problem's
+/// definitions round by round with a saturation run per round, then
+/// extract (and, when certifying, prove) the clean variants. `eg` is
+/// [`OpProblem::egraph`] for a per-operator e-graph, or the monolithic
+/// ablation's shared one ([`gd_egraph`]).
 ///
-/// Deterministic given `(problem, opts, rewrites)` — the foundation of the
-/// cache's correctness under racing misses — up to `StopReason::TimeLimit`
-/// cuts, which depend on wall clock (see DESIGN.md's determinism contract).
+/// Deterministic given `(problem, opts, rewrites)` in a fresh e-graph — the
+/// foundation of the cache's correctness under racing misses — up to
+/// `StopReason::TimeLimit` cuts, which depend on wall clock (see DESIGN.md's
+/// determinism contract).
 pub(crate) fn solve_problem(
     p: &OpProblem,
+    eg: &mut EGraph<TensorAnalysis>,
     opts: &CheckOptions,
     rewrites: &[Rewrite<TensorAnalysis>],
+    matcher: &CompiledMatcher,
     backoff: Option<&BackoffSchedule>,
 ) -> Solved {
-    let mut analysis = TensorAnalysis::with_ctx(opts.sym_ctx.clone());
-    for l in &p.leaves {
-        analysis.register_leaf(&l.name, l.shape.clone(), l.dtype);
-    }
-    let mut eg = EGraph::with_analysis(analysis);
-
     let mut input_ids: Vec<Id> = Vec::with_capacity(p.inputs.len());
     for (name, exprs) in &p.inputs {
         let mut rep: Option<Id> = None;
@@ -576,9 +656,9 @@ pub(crate) fn solve_problem(
                 }
             }
         }
-        input_ids.push(rep.expect("non-empty canonical mapping list"));
+        input_ids.push(rep.expect("non-empty mapping list"));
     }
-    let base = encode_op(&mut eg, &p.op, &input_ids);
+    let base = encode_op(eg, &p.op, &input_ids);
     eg.rebuild();
     let encode_nodes = eg.total_nodes();
 
@@ -587,19 +667,20 @@ pub(crate) fn solve_problem(
     for defs in &p.def_rounds {
         for d in defs {
             let inputs: Vec<&str> = d.inputs.iter().map(String::as_str).collect();
-            encode_def(&mut eg, &d.op, &inputs, &d.output, &d.name);
+            encode_def(eg, &d.op, &inputs, &d.output, &d.name);
         }
         eg.rebuild();
-        let owned = std::mem::replace(&mut eg, EGraph::with_analysis(TensorAnalysis::default()));
+        let owned = std::mem::replace(eg, EGraph::with_analysis(TensorAnalysis::default()));
         let mut runner = Runner::new(owned)
             .with_iter_limit(opts.iter_limit)
             .with_node_limit(opts.node_limit)
             .with_time_limit(opts.time_limit)
             .with_backoff(backoff.cloned())
-            .with_compiled_matcher(opts.compiled_matcher)
             .with_metrics(opts.metrics.clone());
-        let report = runner.run(rewrites);
-        eg = runner.egraph;
+        let report = runner.run(rewrites, matcher);
+        *eg = runner.egraph;
+        // A limit on any round means this operator's search was cut short;
+        // only an all-rounds-saturated operator failure is a proven bug.
         if report.stop_reason.is_limit() || stop.is_none() {
             stop = Some(report.stop_reason);
         }
@@ -616,14 +697,15 @@ pub(crate) fn solve_problem(
     // scrambles string order): bias every `$t{k}` leaf by its
     // first-occurrence index, so equal-cost extraction ties resolve to the
     // most upstream leaf — keeping the leaf diversity downstream frontiers
-    // seed from. The bias is far below the 1e-6 prefer margin.
+    // seed from. The bias is far below the 1e-6 prefer margin. Real-named
+    // leaves (the whole-G_d problem) get none and tie-break by name.
     let leaf_bias = |name: &str| -> f64 {
         name.strip_prefix("$t")
             .and_then(|k| k.parse::<u64>().ok())
             .map_or(0.0, |k| k as f64 * 1e-12)
     };
     let with_cost = extract_clean_variants_with_cost(
-        &eg,
+        eg,
         base,
         &opts.clean,
         &prefer,

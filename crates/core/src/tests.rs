@@ -361,6 +361,12 @@ fn ablation_modes_agree_on_verdict() {
             maps.iter().any(|m| m == "(concat F1 F2 0)"),
             "mode ({frontier},{fresh}): {maps:?}"
         );
+        if !(frontier && fresh) {
+            // The ablation modes solve whole-G_d problems on one thread,
+            // without the memo.
+            assert_eq!(outcome.par.jobs, 1, "mode ({frontier},{fresh})");
+            assert!(!outcome.par.cache_enabled, "mode ({frontier},{fresh})");
+        }
     }
 }
 
@@ -515,6 +521,8 @@ fn symbolic_shapes_check() {
         maps.iter().any(|m| m == "(concat Y0 Y1 0)"),
         "Y mappings: {maps:?}"
     );
+    // Symbolic contexts solve canonical problems without the memo.
+    assert!(!outcome.par.cache_enabled);
 }
 
 #[test]

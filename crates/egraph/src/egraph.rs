@@ -604,14 +604,15 @@ impl<A: Analysis> EGraph<A> {
     /// # Examples
     ///
     /// ```
-    /// use entangle_egraph::{EGraph, Justification, RecExpr, Rewrite, Runner};
+    /// use entangle_egraph::{CompiledMatcher, EGraph, Justification, RecExpr, Rewrite, Runner};
     ///
     /// let rw: Rewrite<()> = Rewrite::parse("add-zero", "(add ?x 0)", "?x").unwrap();
     /// let mut eg = EGraph::<()>::default();
     /// let l = eg.add_expr(&"(add q 0)".parse::<RecExpr>().unwrap());
     /// let r = eg.add_expr(&"q".parse::<RecExpr>().unwrap());
+    /// let rules = [rw];
     /// let mut runner = Runner::new(eg);
-    /// runner.run(&[rw]);
+    /// runner.run(&rules, &CompiledMatcher::compile(&rules));
     /// let reasons = runner.egraph.explain(l, r).unwrap();
     /// assert!(reasons
     ///     .iter()

@@ -51,13 +51,14 @@ where
 /// # Examples
 ///
 /// ```
-/// use entangle_egraph::{AstSize, EGraph, Extractor, RecExpr, Rewrite, Runner};
+/// use entangle_egraph::{AstSize, CompiledMatcher, EGraph, Extractor, RecExpr, Rewrite, Runner};
 ///
 /// let mut eg = EGraph::<()>::default();
 /// let id = eg.add_expr(&"(add x 0)".parse::<RecExpr>().unwrap());
 /// let rw: Rewrite<()> = Rewrite::parse("add-zero", "(add ?x 0)", "?x").unwrap();
+/// let rules = [rw];
 /// let mut runner = Runner::new(eg);
-/// runner.run(&[rw]);
+/// runner.run(&rules, &CompiledMatcher::compile(&rules));
 /// let extractor = Extractor::new(&runner.egraph, AstSize);
 /// let (cost, best) = extractor.find_best(id).unwrap();
 /// assert_eq!(best.to_string(), "x");

@@ -17,7 +17,7 @@
 //! - [`CompiledMatcher`]: the whole rule corpus compiled into one shared
 //!   discrimination tree executed by a small abstract machine, so a single
 //!   traversal of the candidate e-nodes serves every rule at once (the
-//!   default search path; the per-rule searcher remains as an ablation).
+//!   per-rule searcher remains as its reference and fallback).
 //! - [`Runner`]: equality saturation with node/iteration/time limits and
 //!   per-rule application counts (the raw data behind the paper's Figure 6
 //!   lemma-usage heatmap).
@@ -32,7 +32,7 @@
 //! matmul(A₂,B₂))`.
 //!
 //! ```
-//! use entangle_egraph::{EGraph, RecExpr, Rewrite, Runner};
+//! use entangle_egraph::{CompiledMatcher, EGraph, RecExpr, Rewrite, Runner};
 //!
 //! let lemma: Rewrite<()> = Rewrite::parse(
 //!     "matmul-of-concat",
@@ -46,8 +46,9 @@
 //! let l = egraph.add_expr(&lhs);
 //! let r = egraph.add_expr(&rhs);
 //!
+//! let rules = [lemma];
 //! let mut runner = Runner::new(egraph);
-//! runner.run(&[lemma]);
+//! runner.run(&rules, &CompiledMatcher::compile(&rules));
 //! assert_eq!(runner.egraph.find(l), runner.egraph.find(r));
 //! ```
 
@@ -68,7 +69,7 @@ mod unionfind;
 pub use egraph::{Analysis, EClass, EGraph};
 pub use explain::{Justification, Proof, ProofStep};
 pub use extract::{AstSize, CostFunction, Extractor};
-pub use machine::{CompiledMatcher, SharedSearch, MATCHER_GENERATION};
+pub use machine::{CompiledMatcher, SharedSearch};
 pub use node::{ENode, ParseExprError, RecExpr};
 pub use pattern::{Pattern, PatternAst, SearchMatches, Subst, Var};
 pub use rewrite::{Applier, Condition, Rewrite};

@@ -22,7 +22,7 @@
 //! - [`Token::Int`] pops a class slot and checks it is the class of that
 //!   integer literal.
 //!
-//! Equivalence with the legacy searcher is exact, not just up to order:
+//! Equivalence with the per-rule searcher is exact, not just up to order:
 //! classes are visited per root-symbol group in the same sorted
 //! [`EGraph::classes_with_op`] order the per-rule searcher uses, the DFS
 //! enumerates a rule's substitutions in the same order as the recursive
@@ -46,13 +46,6 @@ use crate::pattern::{Pattern, PatternAst, SearchMatches, Subst, Var};
 use crate::rewrite::Rewrite;
 use crate::symbol::Symbol;
 use crate::unionfind::Id;
-
-/// Generation number of the compiled-matcher implementation. Included in
-/// the saturation-memo engine fingerprint (see `entangle`'s
-/// `engine_fingerprint`) so any change to the compilation or execution
-/// strategy invalidates cached solve results instead of replaying stale
-/// ones.
-pub const MATCHER_GENERATION: u32 = 1;
 
 /// One instruction of a compiled pattern, in left-to-right preorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +103,7 @@ pub struct SharedSearch {
     /// rules get an empty list. For active rules the contents are
     /// byte-for-byte what [`Rewrite::search_with_stats`] returns.
     pub matches: Vec<Vec<SearchMatches>>,
-    /// Classes visited, summed per active rule with the legacy searcher's
+    /// Classes visited, summed per active rule with the per-rule searcher's
     /// accounting (a rule is charged its root-symbol group size).
     pub visited: u64,
     /// Classes skipped, summed the same way (including the operator-
@@ -125,21 +118,23 @@ pub struct SharedSearch {
 
 /// A rule corpus compiled into one shared discrimination tree.
 ///
-/// Compiled once per [`crate::Runner::run`]; patterns rooted at a variable
-/// or integer literal (none exist in the registry corpus, but the pattern
-/// language allows them) fall back to the legacy per-rule searcher inside
+/// Compiled once per rule slice and handed to every [`crate::Runner::run`]
+/// over it; patterns rooted at a variable or integer literal (none exist in
+/// the registry corpus, but the pattern language allows them) fall back to
+/// the per-rule searcher ([`Rewrite::search_with_stats`]) inside
 /// [`CompiledMatcher::search_all`].
 #[derive(Debug)]
 pub struct CompiledMatcher {
+    /// The compiled left-hand sides, in rule order.
+    patterns: Vec<Pattern>,
     nodes: Vec<TrieNode>,
     groups: Vec<RootGroup>,
-    /// Rules searched with the legacy per-rule path (non-`Op` roots).
+    /// Rules searched with the per-rule path (non-`Op` roots).
     fallback: Vec<usize>,
-    /// Per rule: the searcher's required operator symbols (the legacy
+    /// Per rule: the searcher's required operator symbols (the per-rule
     /// prefilter, reused both for exact visited/skipped parity and to mask
     /// trivially inapplicable rules out of the traversal).
     required: Vec<Vec<Symbol>>,
-    n_rules: usize,
     words: usize,
 }
 
@@ -188,6 +183,7 @@ impl CompiledMatcher {
         let n_rules = patterns.len();
         let words = n_rules.div_ceil(64).max(1);
         let mut m = CompiledMatcher {
+            patterns: patterns.iter().map(|&p| p.clone()).collect(),
             nodes: vec![TrieNode {
                 reachable: vec![0; words],
                 ..TrieNode::default()
@@ -195,7 +191,6 @@ impl CompiledMatcher {
             groups: Vec::new(),
             fallback: Vec::new(),
             required: Vec::with_capacity(n_rules),
-            n_rules,
             words,
         };
         for (i, pat) in patterns.iter().enumerate() {
@@ -269,18 +264,28 @@ impl CompiledMatcher {
         self.nodes.len() - 1
     }
 
-    /// Number of compiled rules (the rest use the legacy fallback).
+    /// Number of compiled rules (the rest use the per-rule fallback).
     pub fn compiled_rules(&self) -> usize {
-        self.n_rules - self.fallback.len()
+        self.patterns.len() - self.fallback.len()
+    }
+
+    /// `true` when this matcher was compiled from exactly the left-hand
+    /// sides of `rewrites`, in order.
+    pub fn is_compiled_from<A: Analysis>(&self, rewrites: &[Rewrite<A>]) -> bool {
+        self.patterns.len() == rewrites.len()
+            && self
+                .patterns
+                .iter()
+                .zip(rewrites)
+                .all(|(p, rw)| p == rw.searcher())
     }
 
     /// Searches the whole e-graph for every rule in one shared traversal.
     ///
     /// `active[i]` is false for rules currently banned by the backoff
     /// scheduler: they yield nothing, contribute no visited/skipped
-    /// accounting (their search is skipped, exactly like the legacy
-    /// scheduler's skip), and subtrees reaching only banned rules are
-    /// pruned.
+    /// accounting (their search is skipped), and subtrees reaching only
+    /// banned rules are pruned.
     ///
     /// # Panics
     ///
@@ -291,16 +296,17 @@ impl CompiledMatcher {
         rewrites: &[Rewrite<A>],
         active: &[bool],
     ) -> SharedSearch {
-        assert_eq!(rewrites.len(), self.n_rules, "corpus changed under matcher");
-        assert_eq!(active.len(), self.n_rules, "active mask length mismatch");
+        let n_rules = self.patterns.len();
+        assert_eq!(rewrites.len(), n_rules, "corpus changed under matcher");
+        assert_eq!(active.len(), n_rules, "active mask length mismatch");
         let total = egraph.num_classes() as u64;
         let mut out = SharedSearch {
-            matches: vec![Vec::new(); self.n_rules],
+            matches: vec![Vec::new(); n_rules],
             ..SharedSearch::default()
         };
         // The yield mask: active rules whose required operators are all
         // present. A rule failing the presence prefilter is charged the
-        // legacy all-skipped accounting and masked out of the walk.
+        // per-rule all-skipped accounting and masked out of the walk.
         let mut mask = vec![0u64; self.words];
         for (i, &is_active) in active.iter().enumerate() {
             if !is_active {
@@ -318,7 +324,7 @@ impl CompiledMatcher {
             mask: &mask,
             regs: Vec::with_capacity(16),
             slots: Vec::with_capacity(32),
-            buf: vec![Vec::new(); self.n_rules],
+            buf: vec![Vec::new(); n_rules],
             touched: Vec::new(),
             candidates: 0,
         };
@@ -346,7 +352,7 @@ impl CompiledMatcher {
             }
         }
         out.candidates = machine.candidates;
-        // Patterns rooted at a variable or integer: legacy per-rule search.
+        // Patterns rooted at a variable or integer: per-rule search.
         for &i in &self.fallback {
             if !active[i] {
                 continue;
@@ -479,7 +485,7 @@ impl<A: Analysis> Machine<'_, A> {
     }
 
     /// Closes out one class: deduplicate each touched rule's raw yields
-    /// first-occurrence (the legacy [`Pattern::search_eclass`] contract)
+    /// first-occurrence (the [`Pattern::search_eclass`] contract)
     /// and emit its [`SearchMatches`].
     fn flush_class(&mut self, class: Id, out: &mut SharedSearch) {
         for &r in &self.touched {

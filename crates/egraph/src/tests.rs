@@ -1,5 +1,10 @@
 use crate::*;
 
+/// Saturates with `rules`, compiling the matcher for this one run.
+fn run_rules<A: Analysis>(runner: &mut Runner<A>, rules: &[Rewrite<A>]) -> RunReport {
+    runner.run(rules, &CompiledMatcher::compile(rules))
+}
+
 fn expr(s: &str) -> RecExpr {
     s.parse().expect("parse")
 }
@@ -134,7 +139,7 @@ fn rewrite_block_matmul() {
     let l = eg.add_expr(&expr("(matmul (concat A1 A2 1) (concat B1 B2 0))"));
     let r = eg.add_expr(&expr("(add (matmul A1 B1) (matmul A2 B2))"));
     let mut runner = Runner::new(eg);
-    let report = runner.run(&[lemma]);
+    let report = run_rules(&mut runner, &[lemma]);
     assert_eq!(runner.egraph.find(l), runner.egraph.find(r));
     assert_eq!(report.stop_reason, StopReason::Saturated);
 }
@@ -163,7 +168,7 @@ fn conditional_rewrite_only_fires_when_condition_holds() {
     let same = eg.add_expr(&expr("(slice (concat A B 0) 0 0 4)"));
     let diff = eg.add_expr(&expr("(slice (concat A B 0) 1 0 4)"));
     let mut runner = Runner::new(eg);
-    runner.run(&[rw]);
+    run_rules(&mut runner, &[rw]);
     let eg = &runner.egraph;
     let same_rhs = eg.lookup_expr(&expr("(concat (slice A 0 0 4) (slice B 0 0 4) 0)"));
     assert!(same_rhs.is_none() || eg.find(same_rhs.unwrap()) != eg.find(same));
@@ -184,7 +189,7 @@ fn dynamic_applier() {
     let mut eg = EGraph::<()>::default();
     let l = eg.add_expr(&expr("(mul a 2)"));
     let mut runner = Runner::new(eg);
-    runner.run(&[rw]);
+    run_rules(&mut runner, &[rw]);
     let r = runner.egraph.lookup_expr(&expr("(add a a)")).unwrap();
     assert_eq!(runner.egraph.find(l), runner.egraph.find(r));
 }
@@ -199,7 +204,7 @@ fn saturation_with_commutativity_and_assoc_terminates() {
     let l = eg.add_expr(&expr("(add (add a b) (add c d))"));
     let r = eg.add_expr(&expr("(add (add d c) (add b a))"));
     let mut runner = Runner::new(eg).with_iter_limit(10).with_node_limit(10_000);
-    let report = runner.run(&rules);
+    let report = run_rules(&mut runner, &rules);
     assert_eq!(runner.egraph.find(l), runner.egraph.find(r));
     assert!(report.iterations <= 10);
 }
@@ -213,7 +218,7 @@ fn extraction_picks_smallest() {
     let mut eg = EGraph::<()>::default();
     let id = eg.add_expr(&expr("(mul (add y 0) 1)"));
     let mut runner = Runner::new(eg);
-    runner.run(&rules);
+    run_rules(&mut runner, &rules);
     let ex = Extractor::new(&runner.egraph, AstSize);
     let (cost, best) = ex.find_best(id).unwrap();
     assert_eq!(best.to_string(), "y");
@@ -279,7 +284,7 @@ fn runner_node_limit_respected() {
     let mut eg = EGraph::<()>::default();
     eg.add_expr(&expr("(f a)"));
     let mut runner = Runner::new(eg).with_node_limit(200).with_iter_limit(1000);
-    let report = runner.run(&[rw]);
+    let report = run_rules(&mut runner, &[rw]);
     assert_eq!(report.stop_reason, StopReason::NodeLimit);
 }
 
@@ -292,7 +297,7 @@ fn application_counts_reported() {
     let mut eg = EGraph::<()>::default();
     eg.add_expr(&expr("(add p q)"));
     let mut runner = Runner::new(eg);
-    let report = runner.run(&rules);
+    let report = run_rules(&mut runner, &rules);
     assert!(report.applications.get("comm").copied().unwrap_or(0) >= 1);
     assert_eq!(report.applications.get("never"), None);
 }
@@ -385,7 +390,7 @@ fn runner_respects_time_limit() {
         .with_node_limit(usize::MAX)
         .with_iter_limit(usize::MAX)
         .with_time_limit(std::time::Duration::from_millis(50));
-    let report = runner.run(&[rw]);
+    let report = run_rules(&mut runner, &[rw]);
     assert_eq!(report.stop_reason, StopReason::TimeLimit);
 }
 
@@ -580,7 +585,7 @@ mod explain_tests {
         let r = eg.add_expr(&expr("y"));
         assert_eq!(eg.explain(l, r), None, "not yet proven");
         let mut runner = Runner::new(eg);
-        runner.run(&rules);
+        run_rules(&mut runner, &rules);
         let reasons = runner.egraph.explain(l, r).expect("proven");
         assert!(!reasons.is_empty());
         assert!(reasons
@@ -598,7 +603,7 @@ mod explain_tests {
         assert_eq!(eg.term_of(l).to_string(), "(add q 0)");
         let rules: Vec<Rewrite<()>> = vec![Rewrite::parse("add-zero", "(add ?x 0)", "?x").unwrap()];
         let mut runner = Runner::new(eg);
-        runner.run(&rules);
+        run_rules(&mut runner, &rules);
         // Even after `q` joined the class, the id renders the literal term
         // it was created with, not a class representative.
         assert_eq!(runner.egraph.term_of(l).to_string(), "(add q 0)");
@@ -636,7 +641,7 @@ mod explain_tests {
         let r = eg.add_expr(&expr("y"));
         assert!(eg.explain_equivalence(l, r).is_none(), "not yet proven");
         let mut runner = Runner::new(eg);
-        runner.run(&rules);
+        run_rules(&mut runner, &rules);
         let eg = &runner.egraph;
         let proof = eg.explain_equivalence(l, r).expect("proven");
         let (start, end) = chain_endpoints(&proof);
@@ -655,7 +660,7 @@ mod explain_tests {
         let l = eg.add_expr(&expr("(f (add y 0))"));
         let r = eg.add_expr(&expr("(f y)"));
         let mut runner = Runner::new(eg);
-        runner.run(&rules);
+        run_rules(&mut runner, &rules);
         let eg = &runner.egraph;
         let proof = eg.explain_equivalence(l, r).expect("congruent");
         let (start, end) = chain_endpoints(&proof);
@@ -683,7 +688,7 @@ mod explain_tests {
         let l = eg.add_expr(&expr("(add u v)"));
         let r = eg.add_expr(&expr("(add v u)"));
         let mut runner = Runner::new(eg);
-        runner.run(&rules);
+        run_rules(&mut runner, &rules);
         let proof = runner.egraph.explain_equivalence(l, r).expect("proven");
         let step = proof
             .steps
@@ -764,7 +769,7 @@ mod explain_tests {
 }
 
 mod backoff_tests {
-    use super::expr;
+    use super::{expr, run_rules};
     use crate::*;
 
     fn comm_assoc() -> Vec<Rewrite<()>> {
@@ -782,7 +787,7 @@ mod backoff_tests {
             .with_iter_limit(64)
             .with_node_limit(100_000)
             .with_backoff(schedule);
-        let report = runner.run(&comm_assoc());
+        let report = run_rules(&mut runner, &comm_assoc());
         (runner, report)
     }
 
@@ -889,7 +894,7 @@ mod compiled_matcher {
     /// A corpus exercising every token kind and sharing shape: common
     /// prefixes, renaming-equivalent patterns, repeated variables, int
     /// literals, same symbol at different arities, a nullary leaf op, and
-    /// a bare-variable pattern (the legacy fallback path).
+    /// a bare-variable pattern (the per-rule fallback path).
     fn corpus() -> Vec<Rewrite<()>> {
         vec![
             idr("mm-concat", "(matmul (concat ?a ?b 1) (concat ?c ?d 0))"),
@@ -908,8 +913,8 @@ mod compiled_matcher {
         ]
     }
 
-    /// Asserts the compiled matcher reproduces the legacy searcher
-    /// *exactly* — same matches in the same order with equal
+    /// Asserts the compiled matcher reproduces the per-rule searcher
+    /// ([`Rewrite::search_with_stats`], the reference) *exactly* — same matches in the same order with equal
     /// substitutions, and the same visited/skipped accounting.
     fn assert_identical(eg: &EGraph<()>, rws: &[Rewrite<()>], active: &[bool]) {
         let m = CompiledMatcher::compile(rws);
@@ -922,20 +927,20 @@ mod compiled_matcher {
                 assert!(shared.matches[i].is_empty(), "banned rule must not yield");
                 continue;
             }
-            let (legacy, v, s) = rw.search_with_stats(eg);
+            let (reference, v, s) = rw.search_with_stats(eg);
             visited += v;
             skipped += s;
             assert_eq!(
-                legacy.len(),
+                reference.len(),
                 shared.matches[i].len(),
                 "class count differs for {}",
                 rw.name()
             );
-            for (l, c) in legacy.iter().zip(&shared.matches[i]) {
+            for (l, c) in reference.iter().zip(&shared.matches[i]) {
                 assert_eq!(l.eclass, c.eclass, "class order differs for {}", rw.name());
                 assert_eq!(l.substs, c.substs, "substs differ for {}", rw.name());
             }
-            yields += legacy.iter().map(|m| m.substs.len() as u64).sum::<u64>();
+            yields += reference.iter().map(|m| m.substs.len() as u64).sum::<u64>();
         }
         assert_eq!(shared.visited, visited, "visited accounting differs");
         assert_eq!(shared.skipped, skipped, "skipped accounting differs");
@@ -990,91 +995,11 @@ mod compiled_matcher {
         assert_eq!(banned.yields, 0);
     }
 
-    /// End-to-end: a saturation run under the compiled matcher reaches the
-    /// same fixpoint, per-rule match counts, applications, and stop reason
-    /// as the legacy searcher.
     #[test]
-    fn runner_paths_agree() {
-        let rules = || -> Vec<Rewrite<()>> {
-            vec![
-                Rewrite::parse("comm", "(add ?a ?b)", "(add ?b ?a)").expect("valid"),
-                Rewrite::parse("assoc", "(add (add ?a ?b) ?c)", "(add ?a (add ?b ?c))")
-                    .expect("valid"),
-            ]
-        };
-        let run = |compiled: bool| {
-            let mut eg = EGraph::<()>::default();
-            eg.add_expr(
-                &"(add (add a b) (add c d))"
-                    .parse::<RecExpr>()
-                    .expect("valid expr"),
-            );
-            let mut runner = Runner::new(eg)
-                .with_iter_limit(64)
-                .with_node_limit(100_000)
-                .with_compiled_matcher(compiled);
-            let report = runner.run(&rules());
-            (runner, report)
-        };
-        let (r1, rep1) = run(true);
-        let (r2, rep2) = run(false);
-        assert_eq!(rep1.stop_reason, rep2.stop_reason);
-        assert_eq!(rep1.iterations, rep2.iterations);
-        assert_eq!(r1.egraph.total_nodes(), r2.egraph.total_nodes());
-        assert_eq!(r1.egraph.num_classes(), r2.egraph.num_classes());
-        assert_eq!(rep1.applications, rep2.applications);
-        for name in ["comm", "assoc"] {
-            assert_eq!(
-                rep1.saturation.rules[name].matches, rep2.saturation.rules[name].matches,
-                "per-rule match telemetry differs for {name}"
-            );
-        }
-        assert_eq!(
-            rep1.saturation.searched_classes,
-            rep2.saturation.searched_classes
-        );
-        assert_eq!(
-            rep1.saturation.skipped_classes,
-            rep2.saturation.skipped_classes
-        );
-    }
-
-    /// Backoff bans behave identically across search paths: same ban
-    /// count signature (via match telemetry) and the same fixpoint.
-    #[test]
-    fn backoff_agrees_across_paths() {
-        let run = |compiled: bool| {
-            let mut eg = EGraph::<()>::default();
-            eg.add_expr(
-                &"(add (add a b) (add c d))"
-                    .parse::<RecExpr>()
-                    .expect("valid expr"),
-            );
-            let schedule = BackoffSchedule::new(["comm".to_owned()])
-                .with_match_budget(1)
-                .with_ban_length(2);
-            let mut runner = Runner::new(eg)
-                .with_iter_limit(64)
-                .with_node_limit(100_000)
-                .with_backoff(Some(schedule))
-                .with_compiled_matcher(compiled);
-            let report = runner.run(&[
-                Rewrite::parse("comm", "(add ?a ?b)", "(add ?b ?a)").expect("valid"),
-                Rewrite::parse("assoc", "(add (add ?a ?b) ?c)", "(add ?a (add ?b ?c))")
-                    .expect("valid"),
-            ]);
-            (runner.egraph.total_nodes(), report)
-        };
-        let (n1, rep1) = run(true);
-        let (n2, rep2) = run(false);
-        assert_eq!(rep1.stop_reason, StopReason::Saturated);
-        assert_eq!(rep1.stop_reason, rep2.stop_reason);
-        assert_eq!(n1, n2);
-        assert_eq!(rep1.iterations, rep2.iterations);
-        assert_eq!(rep1.applications, rep2.applications);
-        assert_eq!(
-            rep1.saturation.rules["comm"].matches,
-            rep2.saturation.rules["comm"].matches
-        );
+    #[should_panic(expected = "compiled from a different rule slice")]
+    fn runner_rejects_a_matcher_compiled_from_other_rules() {
+        let matcher = CompiledMatcher::compile(&corpus());
+        let mut runner = Runner::new(rich_graph());
+        runner.run(&[idr("add-comm", "(add ?a ?b)")], &matcher);
     }
 }

@@ -26,7 +26,11 @@ fn prove_equiv(eg: EGraph<TensorAnalysis>, lhs: &str, rhs: &str) -> bool {
     let l = eg.add_expr(&lhs.parse::<RecExpr>().unwrap());
     let r = eg.add_expr(&rhs.parse::<RecExpr>().unwrap());
     let mut runner = Runner::new(eg).with_iter_limit(12).with_node_limit(20_000);
-    runner.run(&rewrites_of(&registry()));
+    let rewrites = rewrites_of(&registry());
+    runner.run(
+        &rewrites,
+        &entangle_egraph::CompiledMatcher::compile(&rewrites),
+    );
     runner.egraph.find(l) == runner.egraph.find(r)
 }
 

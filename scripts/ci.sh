@@ -115,19 +115,10 @@ echo "==> rule-backoff smoke (bench_rules: writes results/BENCH_rules.json)"
 ./target/release/bench_rules >/dev/null
 echo "    results/BENCH_rules.json written"
 
-echo "==> compiled e-matching smoke (bench_ematch: writes results/BENCH_ematch.json)"
-./target/release/bench_ematch >/dev/null
-echo "    results/BENCH_ematch.json written"
-
-echo "==> matcher-ablation check (gpt_tp2 verdict identical with --no-compiled-matcher)"
-base=examples/graphs/gpt_tp2
-default_out=$(./target/release/entangle check "$base.gs.json" "$base.gd.json" --maps "$base.maps") \
-  || { echo "check (compiled matcher) FAILED on $base"; exit 1; }
-legacy_out=$(./target/release/entangle --no-compiled-matcher check "$base.gs.json" "$base.gd.json" --maps "$base.maps") \
-  || { echo "check --no-compiled-matcher FAILED on $base"; exit 1; }
-[ "$default_out" = "$legacy_out" ] \
-  || { echo "verdict output differs between compiled and legacy matcher on $base"; exit 1; }
-echo "    compiled and legacy matcher agree on gpt_tp2"
+echo "==> ablation shape gate (ablations: frontier < no-frontier < monolithic, free assoc fails)"
+./target/release/ablations >/dev/null \
+  || { echo "ablations: expected shape violated"; exit 1; }
+echo "    expected ablation shape holds"
 
 echo "==> trace profile smoke (entangle trace gpt-tp2)"
 ./target/release/entangle trace gpt-tp2 >/dev/null \

@@ -12,9 +12,9 @@
 //! - [`entangle::ParStats`] — hit/miss counts depend on scheduling order
 //!   by design (the one documented jobs-dependent field).
 //!
-//! The same contract covers the memo-off runs (`cache: false`), which take
-//! the canonical engine through the same scheduler without storing solved
-//! problems. They must reproduce the default verdict, relations and
+//! The same contract covers the memo-off runs (`cache: false`), which
+//! solve the same canonical problems through the same scheduler without
+//! storing them. They must reproduce the default verdict, relations and
 //! certificate exactly, and its telemetry too unless template members
 //! replayed their representative's telemetry in the default run.
 

@@ -3,12 +3,11 @@
 //! The deep fig4 workloads spend most of their wall clock in the
 //! saturation loop, and before compiled e-matching the search phase paid a
 //! full per-rule recursive traversal of the e-graph on every iteration:
-//! GPT par=8 at 4 layers took ~1.14 s at the PR 9 baseline. The shared
-//! discrimination-tree matcher (one traversal serves the whole corpus),
-//! the arena-flattened e-graph tables, the union-find flattening pass, and
-//! the symbolic-verdict memo brought that to ~0.29 s (release, best of 3;
-//! `results/BENCH_ematch.json` records the >= 3x ratio as
-//! `speedup_vs_pr9`). This test pins the end-to-end budget with ample
+//! GPT par=8 at 4 layers took ~1.14 s. The shared discrimination-tree
+//! matcher (one traversal serves the whole corpus), the arena-flattened
+//! e-graph tables, the union-find flattening pass, and the symbolic-verdict
+//! memo brought that to ~0.29 s (release, best of 3, a >= 3x ratio). This
+//! test pins the end-to-end budget with ample
 //! noise headroom: the deep GPT check must stay under 700 ms — roughly
 //! 2.4x the measured wall, and still well below the old baseline.
 //!
@@ -33,7 +32,7 @@ fn deep_gpt_par8_check_stays_under_budget_with_compiled_matching() {
     };
     let (outcome, mut elapsed) = w.check(&opts);
 
-    // The compiled matcher must actually engage (default-on flag).
+    // The compiled matcher must actually engage.
     let snap = metrics.snapshot();
     assert!(
         snap.gauges.get("ematch.trie.nodes").copied().unwrap_or(0) > 0,
